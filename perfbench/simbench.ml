@@ -9,11 +9,11 @@
    [Engine.set_observer].
 
    Usage: simbench.exe MODE --workload W --seed N
-     setup        lint + prepare only (or lint + synthesize + member prepares)
+     setup        campaign only: lint + prepare
      run          one untraced run: set-up, drive, finalize
      run-seq      federation only: the same run under Sequential, K = 1
      members      federation only: every member campaign run standalone
-     trace        campaign: one traced run; federation: traced members *)
+     trace        campaign only: one traced run *)
 
 open Framework
 
@@ -105,6 +105,57 @@ let timed f =
 let gc_stat () =
   Gc.minor ();
   Gc.quick_stat ()
+
+(* {1 Host-speed calibration}
+
+   The host is shared: other tenants slow a process by tens of percent
+   for minutes at a time, which no number of repeats within one run
+   averages out.  A fixed kernel of random reads and writes over a 4 MB
+   array is timed next to the measured work; [cal_ref_s] over its time is
+   the host's speed, and run.py scales measured host times by it.  Of the
+   kernels tried (random access over 4, 32 and 128 MB, a 32 MB pointer
+   chase, short-lived allocation), the 4 MB one tracked the campaign
+   drives best, with time proportional to theirs.  The array lives
+   outside the OCaml heap and the kernel allocates nothing, so it does not
+   depend on the simulation's heap and adds to the GC figures only the
+   few words [calibrate] allocates per call, the same in every run. *)
+
+let cal_buf : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t =
+  let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (1 lsl 19) in
+  Bigarray.Array1.fill a 0;
+  a
+
+(* Median seconds of one [kernel] call inside campaign runs on the host
+   the bounds were set on (2-vCPU Xeon Sapphire Rapids KVM guest). *)
+let cal_ref_s = 0.0061
+
+let kernel () =
+  let mask = Bigarray.Array1.dim cal_buf - 1 in
+  let x = ref 0x2545F491 and acc = ref 0 in
+  for _ = 1 to 600_000 do
+    x := !x lxor (!x lsl 13);
+    x := !x lxor (!x lsr 7);
+    x := !x lxor (!x lsl 17);
+    let i = !x land mask in
+    let v = Bigarray.Array1.unsafe_get cal_buf i in
+    Bigarray.Array1.unsafe_set cal_buf i (v + !acc);
+    acc := !acc + (v land 0xff) + 1
+  done;
+  !acc
+
+type cal = { mutable cal_s : float; mutable calls : int }
+
+let cal_create () = { cal_s = 0.0; calls = 0 }
+
+let calibrate c n =
+  for _ = 1 to n do
+    let t0 = now () in
+    ignore (Sys.opaque_identity (kernel ()));
+    c.cal_s <- c.cal_s +. (now () -. t0);
+    c.calls <- c.calls + 1
+  done
+
+let speed_field c = ("speed", Simkit.Json.Float (float_of_int c.calls *. cal_ref_s /. c.cal_s))
 
 let digest s = Digest.to_hex (Digest.string s)
 
@@ -328,56 +379,53 @@ let campaign_setup cfg =
   let sim, prepare_s = timed (fun () -> Campaign.prepare cfg) in
   (sim, lint_s, prepare_s)
 
-let federation_setup cfg =
-  let (), lint_s = timed (fun () -> lint_federation cfg) in
-  let specs, synth_s = timed (fun () -> Federation.synthesize cfg) in
-  (specs, lint_s, synth_s)
-
-let setup_mode w n =
+(* Set-up takes tens of milliseconds, so the host's speed is taken just
+   before and just after it. *)
+let setup_mode cfg =
   let open Simkit.Json in
-  match w with
-  | Default | Attached ->
-    let _, lint_s, prepare_s = campaign_setup (campaign_config w n) in
-    Obj [ ("setup_s", Float (lint_s +. prepare_s)); ("lint_ms", ms lint_s);
-          ("prepare_ms", ms prepare_s) ]
-  | Federation_par ->
-    (* Federation.run prepares every member before its first event. *)
-    let cfg = federation_config n in
-    let specs, lint_s, synth_s = federation_setup cfg in
-    let _, prepare_s =
-      timed (fun () ->
-          List.map (fun s -> Campaign.prepare (Federation.member_campaign cfg s)) specs)
-    in
-    Obj [ ("setup_s", Float (lint_s +. synth_s +. prepare_s)); ("lint_ms", ms lint_s);
-          ("prepare_ms", ms (synth_s +. prepare_s)) ]
+  let c = cal_create () in
+  calibrate c 4;
+  let _, lint_s, prepare_s = campaign_setup cfg in
+  calibrate c 4;
+  Obj
+    [ speed_field c;
+      ("setup_s", Float (lint_s +. prepare_s));
+      ("lint_ms", ms lint_s);
+      ("prepare_ms", ms prepare_s) ]
 
-(* Host seconds of each simulated day of the drive.  Draining day by day
-   executes exactly the events one [run_until] to the horizon would. *)
-let drive_by_day engine horizon =
+(* Host seconds of the drive, with the calibration kernel run before each
+   simulated day.  Draining day by day executes exactly the events one
+   [run_until] to the horizon would. *)
+let drive_by_day c engine horizon =
   let days = int_of_float (Float.ceil (horizon /. day)) in
-  Array.init days (fun d ->
-      let until = Float.min horizon (float_of_int (d + 1) *. day) in
-      snd (timed (fun () -> Simkit.Engine.run_until engine until)))
+  let drive_s = ref 0.0 in
+  for d = 1 to days do
+    calibrate c 1;
+    let until = Float.min horizon (float_of_int d *. day) in
+    let (), dt = timed (fun () -> Simkit.Engine.run_until engine until) in
+    drive_s := !drive_s +. dt
+  done;
+  !drive_s
 
 let campaign_run cfg =
   let open Simkit.Json in
+  let c = cal_create () in
   let g0 = gc_stat () in
   let t0 = now () in
   let sim, lint_s, prepare_s = campaign_setup cfg in
   let engine = Campaign.sim_engine sim in
   let horizon = Campaign.sim_horizon sim in
-  let day_s = drive_by_day engine horizon in
-  let drive_s = Array.fold_left ( +. ) 0.0 day_s in
+  let drive_s = drive_by_day c engine horizon in
   let report, finalize_s = timed (fun () -> Campaign.finalize sim) in
-  let run_s = now () -. t0 in
+  let run_s = now () -. t0 -. c.cal_s in
   let g1 = gc_stat () in
   Obj
     ([ ("run_s", Float run_s);
+       speed_field c;
        ("setup_s", Float (lint_s +. prepare_s));
        ("lint_ms", ms lint_s);
        ("prepare_ms", ms prepare_s);
        ("drive_s", Float drive_s);
-       ("day_s", List (Array.to_list (Array.map (fun x -> Float x) day_s)));
        ("finalize_ms", ms finalize_s);
        ("sim_days", Float (horizon /. day));
        ("events", Int (Simkit.Engine.events_executed engine));
@@ -387,27 +435,14 @@ let campaign_run cfg =
 
 let federation_run cfg =
   let open Simkit.Json in
-  let g0 = gc_stat () in
-  let t0 = now () in
-  let _, lint_s, synth_s = federation_setup cfg in
+  lint_federation cfg;
   let report, drive_s = timed (fun () -> Federation.run cfg) in
-  let run_s = now () -. t0 in
-  let g1 = gc_stat () in
-  let member_days =
-    float_of_int (cfg.Federation.testbeds * cfg.Federation.base.Campaign.months)
-    *. Simkit.Calendar.month /. day
-  in
   Obj
-    ([ ("run_s", Float run_s);
-       ("setup_s", Float (lint_s +. synth_s));
-       ("lint_ms", ms lint_s);
-       ("drive_s", Float drive_s);
-       ("sim_days", Float member_days);
-       ("shards", Int cfg.Federation.shards);
-       ("events", Int report.Federation.events_total);
-       ("barriers", Int report.Federation.coordination.Federation.barriers);
-       ("fingerprint", String (federation_fingerprint report)) ]
-    @ gc_fields g0 g1)
+    [ ("drive_s", Float drive_s);
+      ("shards", Int cfg.Federation.shards);
+      ("events", Int report.Federation.events_total);
+      ("barriers", Int report.Federation.coordination.Federation.barriers);
+      ("fingerprint", String (federation_fingerprint report)) ]
 
 (* Build-level CI statistics from the server's completion hook, summed
    over every simulation the probe is attached to. *)
@@ -521,13 +556,12 @@ let () =
   let n = !seed in
   let result =
     match (mode, w) with
-    | "setup", _ -> setup_mode w n
+    | "setup", (Default | Attached) -> setup_mode (campaign_config w n)
     | "run", (Default | Attached) -> campaign_run (campaign_config w n)
     | "run", Federation_par -> federation_run (federation_config n)
     | "run-seq", Federation_par -> federation_run (sequential (federation_config n))
     | "members", Federation_par -> campaigns_run ~traced:false (members (federation_config n))
     | "trace", (Default | Attached) -> campaigns_run ~traced:true [ campaign_config w n ]
-    | "trace", Federation_par -> campaigns_run ~traced:true (members (federation_config n))
     | _ ->
       prerr_endline usage;
       exit 2
