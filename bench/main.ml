@@ -10,6 +10,17 @@ let section id title =
   Printf.printf "%s — %s\n" id title;
   Printf.printf "================================================================\n%!"
 
+(* Print a scenario's results and write them to BENCH_<name>.json. *)
+let write_bench name json =
+  let file = Framework.Perfgate.file name in
+  let text = Simkit.Json.to_string ~indent:2 json in
+  let oc = open_out file in
+  output_string oc text;
+  output_char oc '\n';
+  close_out oc;
+  print_endline text;
+  print_endline ("written to " ^ file)
+
 (* ---- E1: testbed inventory (slide 6) ------------------------------------- *)
 
 let e1 () =
@@ -720,13 +731,7 @@ let e12_scheduler () =
               ("linear_alloc_bytes", Float alloc_lin);
               ("speedup", Float speedup) ] ) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_scheduler.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_scheduler.json"
+  write_bench "scheduler" json
 
 (* ---- E13: self-healing loop under correlated faults ------------------------------------- *)
 
@@ -859,13 +864,7 @@ let e13_health () =
             [ ("without_probe_ns", Float ns_off);
               ("with_probe_ns", Float ns_on) ] ) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_health.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_health.json"
+  write_bench "health" json
 
 (* ---- E14: Trustlint + runtime audit overhead -------------------------------------------- *)
 
@@ -952,13 +951,7 @@ let e14_lint () =
               ("races_flagged", Int summary.Simkit.Audit.races_flagged);
               ("events_observed", Int summary.Simkit.Audit.events_observed) ] ) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_lint.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_lint.json"
+  write_bench "lint" json
 
 (* ---- E15: triage pipeline at scale ------------------------------------------------------ *)
 
@@ -1089,13 +1082,7 @@ let e15_triage () =
         ("counters_match_oracle", Bool counters_ok);
         ("retained_heap_words", Int live_words) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_triage.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_triage.json"
+  write_bench "triage" json
 
 (* ---- E16: engine raw speed ------------------------------------------------------------- *)
 
@@ -1188,13 +1175,7 @@ let e16_engine () =
         ("anchor_events_per_s", Float anchor_events_per_s);
         ("speedup_vs_anchor", Float speedup) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_engine.json"
+  write_bench "engine" json
 
 (* ---- E17: status-page serving layer ----------------------------------------------------- *)
 
@@ -1307,13 +1288,7 @@ let e17_serve () =
                ("p99", Float s.Framework.Serve.staleness_p99);
                ("max", Float s.Framework.Serve.staleness_max) ]) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_serve.json"
+  write_bench "serve" json
 
 (* ---- E18: federation sharding --------------------------------------------------------- *)
 
@@ -1447,13 +1422,7 @@ let e18_federation () =
               ("audits", Int c.Framework.Federation.audits);
               ("min_in_service", Int c.Framework.Federation.min_in_service) ] ) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_federation.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_federation.json"
+  write_bench "federation" json
 
 (* ---- Bechamel micro-benchmarks --------------------------------------------------------- *)
 

@@ -266,153 +266,42 @@ let lint_cmd =
 (* ---- perfgate ---------------------------------------------------------------- *)
 
 let perfgate_cmd =
-  let run baseline current threshold serve_baseline serve_current
-      federation_baseline federation_current lint_baseline lint_current =
-    let read_file path =
-      try
-        let ic = open_in_bin path in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Ok text
-      with Sys_error e -> Error e
+  let run baseline_dir current_dir threshold =
+    let outcome =
+      Result.bind (Framework.Perfgate.load baseline_dir) (fun baseline ->
+          Result.bind (Framework.Perfgate.load current_dir) (fun current ->
+              Framework.Perfgate.check ~threshold_pct:threshold ~baseline ~current ()))
     in
-    let load parse role path =
-      match Result.bind (read_file path) parse with
-      | Ok metrics -> metrics
-      | Error e ->
-        Printf.eprintf "perfgate: cannot load %s %s: %s\n" role path e;
-        exit 2
-    in
-    let engine_verdict =
-      match current with
-      | None -> None
-      | Some current ->
-        let baseline =
-          load Framework.Perfgate.metrics_of_string "baseline" baseline
-        in
-        let current =
-          load Framework.Perfgate.metrics_of_string "current" current
-        in
-        Some (Framework.Perfgate.check ~threshold_pct:threshold ~baseline ~current ())
-    in
-    let serve_verdict =
-      match serve_current with
-      | None -> None
-      | Some current ->
-        let baseline =
-          load Framework.Perfgate.serve_metrics_of_string "serve baseline"
-            serve_baseline
-        in
-        let current =
-          load Framework.Perfgate.serve_metrics_of_string "serve current" current
-        in
-        Some
-          (Framework.Perfgate.check_serve ~threshold_pct:threshold ~baseline
-             ~current ())
-    in
-    let federation_verdict =
-      match federation_current with
-      | None -> None
-      | Some current ->
-        let baseline =
-          load Framework.Perfgate.federation_metrics_of_string
-            "federation baseline" federation_baseline
-        in
-        let current =
-          load Framework.Perfgate.federation_metrics_of_string
-            "federation current" current
-        in
-        Some
-          (Framework.Perfgate.check_federation ~threshold_pct:threshold
-             ~baseline ~current ())
-    in
-    let lint_verdict =
-      match lint_current with
-      | None -> None
-      | Some current ->
-        let baseline =
-          load Framework.Perfgate.lint_metrics_of_string "lint baseline"
-            lint_baseline
-        in
-        let current =
-          load Framework.Perfgate.lint_metrics_of_string "lint current" current
-        in
-        Some
-          (Framework.Perfgate.check_lint ~threshold_pct:threshold ~baseline
-             ~current ())
-    in
-    (match (engine_verdict, serve_verdict, federation_verdict, lint_verdict) with
-     | None, None, None, None ->
-       Printf.eprintf
-         "perfgate: nothing to compare (pass --current, --serve-current, \
-          --federation-current and/or --lint-current)\n";
-       exit 2
-     | _ -> ());
-    let verdicts =
-      List.filter_map Fun.id
-        [ engine_verdict; serve_verdict; federation_verdict; lint_verdict ]
-    in
-    List.iter
-      (fun v -> List.iter print_endline v.Framework.Perfgate.lines)
-      verdicts;
-    if List.exists (fun v -> not v.Framework.Perfgate.ok) verdicts then exit 1
+    match outcome with
+    | Error e ->
+      Printf.eprintf "perfgate: %s\n" e;
+      exit 2
+    | Ok verdict ->
+      List.iter print_endline verdict.Framework.Perfgate.lines;
+      if not verdict.Framework.Perfgate.ok then exit 1
   in
+  let dir_arg n docv doc = Arg.(required & pos n (some string) None & info [] ~docv ~doc) in
   let baseline_arg =
-    let doc = "Checked-in baseline BENCH_engine.json." in
-    Arg.(value & opt string "BENCH_engine.json" & info [ "baseline" ] ~docv:"FILE" ~doc)
+    dir_arg 0 "BASELINE_DIR" "Directory holding the checked-in baseline BENCH_*.json."
   in
   let current_arg =
-    let doc = "Freshly generated BENCH_engine.json to judge." in
-    Arg.(value & opt (some string) None & info [ "current" ] ~docv:"FILE" ~doc)
+    dir_arg 1 "CURRENT_DIR" "Directory holding the freshly generated BENCH_*.json to judge."
   in
   let threshold_arg =
-    let doc = "Allowed regression (p95 step latency / p99 staleness), in percent." in
-    Arg.(value & opt float 20.0 & info [ "threshold" ] ~docv:"PCT" ~doc)
-  in
-  let serve_baseline_arg =
-    let doc = "Checked-in baseline BENCH_serve.json." in
-    Arg.(value & opt string "BENCH_serve.json"
-         & info [ "serve-baseline" ] ~docv:"FILE" ~doc)
-  in
-  let serve_current_arg =
-    let doc = "Freshly generated BENCH_serve.json to judge." in
-    Arg.(value & opt (some string) None
-         & info [ "serve-current" ] ~docv:"FILE" ~doc)
-  in
-  let federation_baseline_arg =
-    let doc = "Checked-in baseline BENCH_federation.json." in
-    Arg.(value & opt string "BENCH_federation.json"
-         & info [ "federation-baseline" ] ~docv:"FILE" ~doc)
-  in
-  let federation_current_arg =
-    let doc = "Freshly generated BENCH_federation.json to judge." in
-    Arg.(value & opt (some string) None
-         & info [ "federation-current" ] ~docv:"FILE" ~doc)
-  in
-  let lint_baseline_arg =
-    let doc = "Checked-in baseline BENCH_lint.json." in
-    Arg.(value & opt string "BENCH_lint.json"
-         & info [ "lint-baseline" ] ~docv:"FILE" ~doc)
-  in
-  let lint_current_arg =
-    let doc = "Freshly generated BENCH_lint.json to judge." in
-    Arg.(value & opt (some string) None
-         & info [ "lint-current" ] ~docv:"FILE" ~doc)
+    let doc = "Allowed regression of every gating figure, in percent, in [0, 100)." in
+    Arg.(value & opt float Framework.Perfgate.default_threshold_pct
+         & info [ "threshold" ] ~docv:"PCT" ~doc)
   in
   Cmd.v
     (Cmd.info "perfgate"
        ~doc:
-         "Compare benchmark runs against the checked-in baselines; exit \
-          non-zero when the engine's p95 step latency, the serve \
-          scenario's p99 staleness, the federation scenario's sharding \
-          speedup, or the catalog-wide lint wall time regresses beyond \
-          the threshold (default 20%; the lint gate also has an \
-          absolute floor) — or when federated runs stop being \
-          byte-identical across shard counts")
-    Term.(const run $ baseline_arg $ current_arg $ threshold_arg
-          $ serve_baseline_arg $ serve_current_arg
-          $ federation_baseline_arg $ federation_current_arg
-          $ lint_baseline_arg $ lint_current_arg)
+         "Compare the engine, serve, federation and lint benchmark runs \
+          against the checked-in baselines; exit 1 when a gating figure \
+          regresses beyond the threshold (default 20%; the lint wall time \
+          also has an absolute floor) or a correctness bit such as \
+          byte-identical federated runs reads false, and exit 2 when a \
+          document or field is missing")
+    Term.(const run $ baseline_arg $ current_arg $ threshold_arg)
 
 (* ---- hunt ------------------------------------------------------------------- *)
 

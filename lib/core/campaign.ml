@@ -141,16 +141,14 @@ let prepare cfg =
     | None -> Bugtracker.create ()
   in
   let page = Statuspage.create env in
+  (* One alerts instance shared by the opt-in subsystems that page. *)
+  let alerts = Monitoring.Alerts.create env.Env.collector in
 
   (* Failure-signature triage pipeline: opt-in so default campaigns
      replay bit-for-bit (no extra Prng split unless a drill is armed,
      no extra listeners, no canonicalized signatures). *)
   let triage =
-    Option.map
-      (fun tc ->
-        let alerts = Monitoring.Alerts.create env.Env.collector in
-        Triage.create ~config:tc ~alerts env tracker)
-      cfg.triage
+    Option.map (fun tc -> Triage.create ~config:tc ~alerts env tracker) cfg.triage
   in
 
   (* Status-page serving layer: opt-in, and its synthetic read workload
@@ -158,11 +156,7 @@ let prepare cfg =
      serving campaign replays the unserved one's decisions byte for
      byte. *)
   let serve =
-    Option.map
-      (fun sconfig ->
-        let alerts = Monitoring.Alerts.create env.Env.collector in
-        Serve.attach ~alerts ~config:sconfig env page)
-      cfg.serve
+    Option.map (fun sconfig -> Serve.attach ~alerts ~config:sconfig env page) cfg.serve
   in
 
   (* Latent problems predating the campaign. *)
@@ -284,9 +278,7 @@ let prepare cfg =
      (the extra Prng split and sweep events only happen when enabled). *)
   let health =
     Option.map
-      (fun hconfig ->
-        let alerts = Monitoring.Alerts.create env.Env.collector in
-        Health.attach ~config:hconfig ?scheduler ~alerts env)
+      (fun hconfig -> Health.attach ~config:hconfig ?scheduler ~alerts env)
       cfg.health
   in
 

@@ -1,128 +1,69 @@
-type metrics = {
-  events_per_s : float;
-  minor_words_per_event : float;
-  p95_step_us : float;
+type direction = Lower | Higher | Must_be_true
+
+type row = {
+  bench : string;
+  path : string;
+  direction : direction;
+  gating : bool;
+  floor : float;
 }
 
-let metrics_of_json json =
-  let num path value =
-    match value with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "missing numeric field %S" path)
-  in
-  let ( let* ) r f = Result.bind r f in
-  let* events_per_s = num "events_per_s" (Simkit.Json.float_member "events_per_s" json) in
-  let* minor_words_per_event =
-    num "minor_words_per_event" (Simkit.Json.float_member "minor_words_per_event" json)
-  in
-  let* p95_step_us =
-    match Simkit.Json.member "step_latency_us" json with
-    | Some latency -> num "step_latency_us.p95" (Simkit.Json.float_member "p95" latency)
-    | None -> Error "missing object \"step_latency_us\""
-  in
-  Ok { events_per_s; minor_words_per_event; p95_step_us }
+let lint_floor_s = 0.25
 
-let metrics_of_string text =
-  match Simkit.Json.of_string text with
-  | Error e -> Error e
-  | Ok json -> metrics_of_json json
+let gate ?(floor = 0.0) bench path direction =
+  { bench; path; direction; gating = true; floor }
 
-type serve_metrics = {
-  reads_per_s : float;
-  hit_ratio : float;
-  p99_staleness_s : float;
-}
+let info bench path direction = { (gate bench path direction) with gating = false }
 
-let serve_metrics_of_json json =
-  let num path value =
-    match value with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "missing numeric field %S" path)
-  in
-  let ( let* ) r f = Result.bind r f in
-  let* reads_per_s = num "reads_per_s" (Simkit.Json.float_member "reads_per_s" json) in
-  let* hit_ratio = num "hit_ratio" (Simkit.Json.float_member "hit_ratio" json) in
-  let* p99_staleness_s =
-    match Simkit.Json.member "staleness_s" json with
-    | Some staleness -> num "staleness_s.p99" (Simkit.Json.float_member "p99" staleness)
-    | None -> Error "missing object \"staleness_s\""
-  in
-  Ok { reads_per_s; hit_ratio; p99_staleness_s }
+let table =
+  [ gate "engine" "step_latency_us.p95" Lower;
+    info "engine" "events_per_s" Higher;
+    info "engine" "minor_words_per_event" Lower;
+    gate "serve" "staleness_s.p99" Lower;
+    gate "serve" "conservation_ok" Must_be_true;
+    info "serve" "reads_per_s" Higher;
+    info "serve" "hit_ratio" Higher;
+    gate "federation" "identical_across_shards" Must_be_true;
+    gate "federation" "speedup" Higher;
+    info "federation" "sharded_events_per_s" Higher;
+    info "federation" "reference_events_per_s" Higher;
+    gate ~floor:lint_floor_s "lint" "lint.wall_s" Lower;
+    gate "lint" "audit.reports_identical" Must_be_true;
+    info "lint" "lint.configurations" Higher;
+    info "lint" "lint.diagnostics" Lower ]
 
-let serve_metrics_of_string text =
-  match Simkit.Json.of_string text with
-  | Error e -> Error e
-  | Ok json -> serve_metrics_of_json json
+let benches =
+  List.fold_left
+    (fun acc r -> if List.mem r.bench acc then acc else acc @ [ r.bench ])
+    [] table
 
-type federation_metrics = {
-  speedup : float;
-  identical : bool;
-  sharded_events_per_s : float;
-  reference_events_per_s : float;
-}
+let file bench = "BENCH_" ^ bench ^ ".json"
 
-let federation_metrics_of_json json =
-  let num path value =
-    match value with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "missing numeric field %S" path)
-  in
-  let ( let* ) r f = Result.bind r f in
-  let* speedup = num "speedup" (Simkit.Json.float_member "speedup" json) in
-  let* identical =
-    match Simkit.Json.member "identical_across_shards" json with
-    | Some (Simkit.Json.Bool b) -> Ok b
-    | Some _ -> Error "field \"identical_across_shards\" is not a boolean"
-    | None -> Error "missing boolean field \"identical_across_shards\""
-  in
-  let* sharded_events_per_s =
-    num "sharded_events_per_s" (Simkit.Json.float_member "sharded_events_per_s" json)
-  in
-  let* reference_events_per_s =
-    num "reference_events_per_s"
-      (Simkit.Json.float_member "reference_events_per_s" json)
-  in
-  Ok { speedup; identical; sharded_events_per_s; reference_events_per_s }
+type docs = (string * Simkit.Json.t) list
 
-let federation_metrics_of_string text =
-  match Simkit.Json.of_string text with
-  | Error e -> Error e
-  | Ok json -> federation_metrics_of_json json
+let ( let* ) = Result.bind
 
-type lint_metrics = {
-  wall_s : float;
-  configurations : int;
-  diagnostics : int;
-}
+(* [f] over [xs], in order, stopping at the first error. *)
+let map_result f xs =
+  let step acc x =
+    let* ys = acc in
+    let* y = f x in
+    Ok (y :: ys)
+  in
+  Result.map List.rev (List.fold_left step (Ok []) xs)
 
-let lint_metrics_of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let* lint =
-    match Simkit.Json.member "lint" json with
-    | Some l -> Ok l
-    | None -> Error "missing object \"lint\""
-  in
-  let* wall_s =
-    match Simkit.Json.float_member "wall_s" lint with
-    | Some f -> Ok f
-    | None -> Error "missing numeric field \"lint.wall_s\""
-  in
-  let* configurations =
-    match Simkit.Json.int_member "configurations" lint with
-    | Some i -> Ok i
-    | None -> Error "missing integer field \"lint.configurations\""
-  in
-  let* diagnostics =
-    match Simkit.Json.int_member "diagnostics" lint with
-    | Some i -> Ok i
-    | None -> Error "missing integer field \"lint.diagnostics\""
-  in
-  Ok { wall_s; configurations; diagnostics }
-
-let lint_metrics_of_string text =
-  match Simkit.Json.of_string text with
-  | Error e -> Error e
-  | Ok json -> lint_metrics_of_json json
+let load dir =
+  map_result
+    (fun bench ->
+      let path = Filename.concat dir (file bench) in
+      let* text =
+        try Ok (In_channel.with_open_bin path In_channel.input_all)
+        with Sys_error e -> Error e
+      in
+      match Simkit.Json.of_string text with
+      | Ok doc -> Ok (bench, doc)
+      | Error e -> Error (Printf.sprintf "%s: %s" path e))
+    benches
 
 type verdict = {
   ok : bool;
@@ -131,112 +72,61 @@ type verdict = {
 
 let default_threshold_pct = 20.0
 
-let check ?threshold_pct ~baseline ~current () =
-  let threshold_pct = Option.value threshold_pct ~default:default_threshold_pct in
-  let limit = baseline.p95_step_us *. (1.0 +. (threshold_pct /. 100.0)) in
-  let ok = current.p95_step_us <= limit in
-  let delta_pct base cur = if base = 0.0 then 0.0 else (cur -. base) /. base *. 100.0 in
-  let lines =
-    [ Printf.sprintf "p95 step latency: baseline %.2f us, current %.2f us (%+.1f%%, limit %.2f us at +%.0f%%)"
-        baseline.p95_step_us current.p95_step_us
-        (delta_pct baseline.p95_step_us current.p95_step_us)
-        limit threshold_pct;
-      Printf.sprintf "events/s:         baseline %.0f, current %.0f (%+.1f%%, informational)"
-        baseline.events_per_s current.events_per_s
-        (delta_pct baseline.events_per_s current.events_per_s);
-      Printf.sprintf "minor words/evt:  baseline %.1f, current %.1f (informational)"
-        baseline.minor_words_per_event current.minor_words_per_event;
-      (if ok then "perfgate: PASS" else "perfgate: FAIL (p95 step latency regressed beyond threshold)") ]
-  in
-  { ok; lines }
+(* The row's field in one run's documents, converted by [kind]. *)
+let field role docs r (kind, convert) =
+  let missing = Printf.sprintf "%s %s: missing %s field %S" role (file r.bench) kind r.path in
+  let member acc key = Option.bind acc (Simkit.Json.member key) in
+  let doc = List.assoc_opt r.bench docs in
+  Option.to_result ~none:missing
+    (Option.bind (List.fold_left member doc (String.split_on_char '.' r.path)) convert)
 
-let check_serve ?threshold_pct ~baseline ~current () =
-  let threshold_pct = Option.value threshold_pct ~default:default_threshold_pct in
-  let delta_pct base cur = if base = 0.0 then 0.0 else (cur -. base) /. base *. 100.0 in
-  (* p99 staleness is simulation-deterministic, so the same allowance
-     that absorbs runner noise on the engine gate here only tolerates a
-     deliberate behaviour change; any regression beyond it fails. *)
-  let limit =
-    if baseline.p99_staleness_s = 0.0 then 0.0
-    else baseline.p99_staleness_s *. (1.0 +. (threshold_pct /. 100.0))
-  in
-  let ok = current.p99_staleness_s <= limit in
-  let lines =
-    [ Printf.sprintf
-        "p99 staleness:    baseline %.2f s, current %.2f s (%+.1f%%, limit %.2f s at +%.0f%%)"
-        baseline.p99_staleness_s current.p99_staleness_s
-        (delta_pct baseline.p99_staleness_s current.p99_staleness_s)
-        limit threshold_pct;
-      Printf.sprintf "reads/s:          baseline %.0f, current %.0f (%+.1f%%, informational)"
-        baseline.reads_per_s current.reads_per_s
-        (delta_pct baseline.reads_per_s current.reads_per_s);
-      Printf.sprintf "cache hit ratio:  baseline %.4f, current %.4f (informational)"
-        baseline.hit_ratio current.hit_ratio;
-      (if ok then "perfgate(serve): PASS"
-       else "perfgate(serve): FAIL (p99 staleness regressed beyond threshold)") ]
-  in
-  { ok; lines }
+let boolean = ("boolean", function Simkit.Json.Bool b -> Some b | _ -> None)
 
-(* The deep analysis runs in milliseconds, far below runner noise, so
-   the relative threshold alone would flap; the gate only bites once the
-   catalog-wide lint wall clears an absolute floor worth caring about. *)
-let lint_floor_s = 0.25
+let numeric =
+  ( "numeric",
+    function
+    | Simkit.Json.Float f -> Some f
+    | Simkit.Json.Int i -> Some (float_of_int i)
+    | _ -> None )
 
-let check_lint ?threshold_pct ~baseline ~current () =
-  let threshold_pct = Option.value threshold_pct ~default:default_threshold_pct in
-  let delta_pct base cur = if base = 0.0 then 0.0 else (cur -. base) /. base *. 100.0 in
-  let limit =
-    Float.max lint_floor_s (baseline.wall_s *. (1.0 +. (threshold_pct /. 100.0)))
+(* One row: whether it holds, and its report line. *)
+let judge t ~baseline ~current r =
+  let verdict ok rule =
+    let tag = if not r.gating then "informational" else if ok then "ok" else "FAIL" in
+    (ok || not r.gating, Printf.sprintf "%-36s %s; %s" (r.bench ^ " " ^ r.path) rule tag)
   in
-  let ok = current.wall_s <= limit in
-  let lines =
-    [ Printf.sprintf
-        "lint wall:        baseline %.4f s, current %.4f s (%+.1f%%, limit %.2f s: max of +%.0f%% and the %.2f s floor)"
-        baseline.wall_s current.wall_s
-        (delta_pct baseline.wall_s current.wall_s)
-        limit threshold_pct lint_floor_s;
-      Printf.sprintf "configurations:   baseline %d, current %d (informational)"
-        baseline.configurations current.configurations;
-      Printf.sprintf "diagnostics:      baseline %d, current %d (informational)"
-        baseline.diagnostics current.diagnostics;
-      (if ok then "perfgate(lint): PASS"
-       else
-         "perfgate(lint): FAIL (catalog-wide lint wall regressed beyond \
-          threshold and floor)") ]
-  in
-  { ok; lines }
+  match r.direction with
+  | Must_be_true ->
+    let* b = field "baseline" baseline r boolean in
+    let* c = field "current" current r boolean in
+    Ok (verdict c (Printf.sprintf "baseline %b, current %b, must be true" b c))
+  | Lower | Higher ->
+    let* b = field "baseline" baseline r numeric in
+    let* c = field "current" current r numeric in
+    let delta = if b = 0.0 then 0.0 else (c -. b) /. b *. 100.0 in
+    let shown = Printf.sprintf "baseline %g, current %g (%+.1f%%)" b c delta in
+    if not r.gating then Ok (verdict true shown)
+    else if r.direction = Lower then
+      let limit = Float.max r.floor (b *. (1.0 +. t)) in
+      Ok (verdict (c <= limit) (Printf.sprintf "%s, limit <= %g" shown limit))
+    else
+      let limit = Float.max r.floor (b *. (1.0 -. t)) in
+      Ok (verdict (c >= limit) (Printf.sprintf "%s, limit >= %g" shown limit))
 
-let check_federation ?threshold_pct ~baseline ~current () =
-  let threshold_pct = Option.value threshold_pct ~default:default_threshold_pct in
-  let delta_pct base cur = if base = 0.0 then 0.0 else (cur -. base) /. base *. 100.0 in
-  (* Correctness first: sharding that is fast but no longer byte-identical
-     to the unsharded reference is a broken optimization, threshold or
-     not. *)
-  let floor = baseline.speedup *. (1.0 -. (threshold_pct /. 100.0)) in
-  let fast_enough = current.speedup >= floor in
-  let ok = current.identical && fast_enough in
-  let lines =
-    [ Printf.sprintf
-        "identical runs:   baseline %b, current %b (hard requirement)"
-        baseline.identical current.identical;
-      Printf.sprintf
-        "speedup:          baseline %.2fx, current %.2fx (%+.1f%%, floor %.2fx at -%.0f%%)"
-        baseline.speedup current.speedup
-        (delta_pct baseline.speedup current.speedup)
-        floor threshold_pct;
-      Printf.sprintf
-        "sharded events/s: baseline %.0f, current %.0f (%+.1f%%, informational)"
-        baseline.sharded_events_per_s current.sharded_events_per_s
-        (delta_pct baseline.sharded_events_per_s current.sharded_events_per_s);
-      Printf.sprintf
-        "reference ev/s:   baseline %.0f, current %.0f (informational)"
-        baseline.reference_events_per_s current.reference_events_per_s;
-      (if ok then "perfgate(federation): PASS"
-       else if not current.identical then
-         "perfgate(federation): FAIL (sharded runs are not byte-identical \
-          to the unsharded reference)"
-       else
-         "perfgate(federation): FAIL (sharding speedup regressed beyond \
-          threshold)") ]
-  in
-  { ok; lines }
+let check ?(threshold_pct = default_threshold_pct) ~baseline ~current () =
+  if not (Float.is_finite threshold_pct && threshold_pct >= 0.0 && threshold_pct < 100.0)
+  then Error (Printf.sprintf "threshold %g%% is not a percentage in [0, 100)" threshold_pct)
+  else
+    let t = threshold_pct /. 100.0 in
+    let* judged = map_result (judge t ~baseline ~current) table in
+    let failed =
+      List.filter_map
+        (fun (r, (ok, _)) -> if ok then None else Some (r.bench ^ " " ^ r.path))
+        (List.combine table judged)
+    in
+    let summary =
+      match failed with
+      | [] -> Printf.sprintf "perfgate: PASS (threshold %g%%)" threshold_pct
+      | _ -> Printf.sprintf "perfgate: FAIL (%s)" (String.concat ", " failed)
+    in
+    Ok { ok = failed = []; lines = List.map snd judged @ [ summary ] }

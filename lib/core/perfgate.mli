@@ -1,135 +1,72 @@
-(** Performance-regression gate over the engine benchmark.
+(** Performance-regression gate over the checked-in benchmark baselines.
 
-    The bench's [--scenario engine] run writes [BENCH_engine.json] with
-    the throughput and step-latency figures of the 2-month reference
-    campaign; a baseline copy of that file is checked into the repository.
-    This module compares a fresh run against the baseline and fails the
-    gate when the p95 step latency regresses by more than the threshold
-    (20% by default), so an accidental slow-down of the hot loop breaks
-    CI instead of silently eating the arena rewrite's gains.
+    The bench scenarios write [BENCH_<bench>.json] documents (see
+    {!file}); the engine, serve, federation and lint copies are checked
+    into the repository as baselines.  This module compares a fresh run
+    against them through one {!table} of rows, so every gated figure goes
+    through the same path lookup and the same limit.
 
-    Throughput and allocation figures are reported for context but do not
-    gate: events/s varies with runner load far more than the latency
-    percentile does.
+    A gating numeric row fails when its current value crosses
+    [max floor (baseline * (1 +/- threshold))] — [+] for lower-is-better
+    figures, [-] for higher-is-better ones.  A must-be-true row fails when
+    the current value is not [true], whatever the threshold: a fast run
+    that breaks a correctness bit is a broken optimization.
+    Informational rows are printed next to the gating ones but never
+    fail; throughput, for example, varies with runner load far more than
+    a latency percentile does. *)
 
-    The serve scenario ([--scenario serve], [BENCH_serve.json]) is gated
-    the same way on its p99 page staleness — which is
-    simulation-deterministic, so a regression there is a behaviour
-    change, not runner noise — with reads/s and the cache hit ratio
-    reported for context.
+type direction =
+  | Lower  (** lower is better *)
+  | Higher  (** higher is better *)
+  | Must_be_true  (** a boolean that must read [true] *)
 
-    The federation scenario ([--scenario federation],
-    [BENCH_federation.json]) gates on two figures: the sharded-vs-
-    unsharded-reference speedup (baseline-relative, same allowance as
-    the other gates) and the cross-shard determinism bit
-    [identical_across_shards], which is a hard requirement — a fast
-    federation that no longer replays byte-identically across shard
-    counts and drivers fails regardless of threshold. *)
-
-type metrics = {
-  events_per_s : float;
-  minor_words_per_event : float;
-  p95_step_us : float;  (** the gating figure *)
+type row = {
+  bench : string;  (** read from [file bench] *)
+  path : string;  (** dot-separated members, e.g. ["step_latency_us.p95"] *)
+  direction : direction;
+  gating : bool;  (** [false] = informational *)
+  floor : float;  (** absolute floor of a numeric row's limit *)
 }
 
-val metrics_of_json : Simkit.Json.t -> (metrics, string) result
-(** Extract the gate's metrics from a [BENCH_engine.json] document
-    ([events_per_s], [minor_words_per_event] and
-    [step_latency_us.p95]). *)
+val lint_floor_s : float
+(** [0.25] — the floor of the lint wall-time row.  The deep analysis
+    finishes in milliseconds, far below runner noise, so a purely
+    relative threshold would flap. *)
 
-val metrics_of_string : string -> (metrics, string) result
-(** Parse then extract; [Error] carries the parse or shape complaint. *)
+val table : row list
+(** Every row the gate reads, grouped by bench:
+    - engine: [step_latency_us.p95] (lower, gating); [events_per_s] and
+      [minor_words_per_event] (informational);
+    - serve: [staleness_s.p99] (lower, gating — simulation-deterministic,
+      so a zero baseline tolerates only zero) and [conservation_ok]
+      (must be true); [reads_per_s] and [hit_ratio] (informational);
+    - federation: [identical_across_shards] (must be true) and [speedup]
+      (higher, gating); the raw throughputs (informational);
+    - lint: [lint.wall_s] (lower, floor {!lint_floor_s}) and
+      [audit.reports_identical] (must be true); the configuration and
+      diagnostic counts (informational). *)
 
-type serve_metrics = {
-  reads_per_s : float;
-  hit_ratio : float;
-  p99_staleness_s : float;  (** the gating figure *)
-}
+val file : string -> string
+(** [file bench] is ["BENCH_" ^ bench ^ ".json"]. *)
 
-val serve_metrics_of_json : Simkit.Json.t -> (serve_metrics, string) result
-(** Extract the serve gate's metrics from a [BENCH_serve.json] document
-    ([reads_per_s], [hit_ratio] and [staleness_s.p99]). *)
+type docs = (string * Simkit.Json.t) list
+(** Benchmark documents keyed by bench name. *)
 
-val serve_metrics_of_string : string -> (serve_metrics, string) result
-
-type federation_metrics = {
-  speedup : float;
-      (** sharded aggregate events/s over the unsharded reference's —
-          gating, baseline-relative *)
-  identical : bool;
-      (** all shard counts and drivers produced byte-identical reports —
-          gating, hard requirement *)
-  sharded_events_per_s : float;
-  reference_events_per_s : float;
-}
-
-val federation_metrics_of_json : Simkit.Json.t -> (federation_metrics, string) result
-(** Extract the federation gate's metrics from a [BENCH_federation.json]
-    document ([speedup], [identical_across_shards],
-    [sharded_events_per_s], [reference_events_per_s]). *)
-
-val federation_metrics_of_string : string -> (federation_metrics, string) result
-
-type lint_metrics = {
-  wall_s : float;
-      (** catalog + presets static-analysis wall time — gating, with an
-          absolute floor (see {!check_lint}) *)
-  configurations : int;
-  diagnostics : int;
-}
-
-val lint_metrics_of_json : Simkit.Json.t -> (lint_metrics, string) result
-(** Extract the lint gate's metrics from a [BENCH_lint.json] document
-    (the [lint] object's [wall_s], [configurations], [diagnostics]). *)
-
-val lint_metrics_of_string : string -> (lint_metrics, string) result
+val load : string -> (docs, string) result
+(** Read and parse [file bench] from the directory for every bench in
+    {!table}; [Error] names the file that is missing or unparsable. *)
 
 type verdict = {
-  ok : bool;  (** [false] = regression beyond the threshold *)
-  lines : string list;  (** human-readable comparison, one line each *)
+  ok : bool;  (** [false] = some gating row failed *)
+  lines : string list;  (** one line per row, then the overall verdict *)
 }
 
 val default_threshold_pct : float
 (** [20.] — the CI gate's allowance. *)
 
-val check : ?threshold_pct:float -> baseline:metrics -> current:metrics -> unit -> verdict
-(** Compare a fresh run against the baseline.  The gate fails iff
-    [current.p95_step_us > baseline.p95_step_us * (1 + threshold_pct/100)];
-    [threshold_pct] defaults to {!default_threshold_pct}. *)
-
-val check_serve :
-  ?threshold_pct:float ->
-  baseline:serve_metrics ->
-  current:serve_metrics ->
-  unit ->
-  verdict
-(** Serve-scenario comparison: fails iff the p99 staleness regresses
-    beyond the threshold (a zero baseline tolerates only zero); reads/s
-    and hit ratio are informational. *)
-
-val check_federation :
-  ?threshold_pct:float ->
-  baseline:federation_metrics ->
-  current:federation_metrics ->
-  unit ->
-  verdict
-(** Federation-scenario comparison: fails iff the current run is not
-    byte-identical across shard counts/drivers, or its speedup fell
-    below [baseline.speedup * (1 - threshold_pct/100)].  Raw throughput
-    figures are informational. *)
-
-val lint_floor_s : float
-(** [0.25] — the lint gate's absolute wall-time floor.  The deep
-    analysis finishes in milliseconds, far below runner noise, so a
-    purely relative threshold would flap. *)
-
-val check_lint :
-  ?threshold_pct:float ->
-  baseline:lint_metrics ->
-  current:lint_metrics ->
-  unit ->
-  verdict
-(** Lint-scenario comparison: fails iff the catalog-wide analysis wall
-    time exceeds [max lint_floor_s (baseline.wall_s * (1 +
-    threshold_pct/100))].  Configuration and diagnostic counts are
-    informational. *)
+val check :
+  ?threshold_pct:float -> baseline:docs -> current:docs -> unit -> (verdict, string) result
+(** Judge every row of {!table}.  [Error] when [threshold_pct] (default
+    {!default_threshold_pct}) is not finite or lies outside [\[0, 100)],
+    or when a row's bench document or field is missing or of the wrong
+    type, in either run. *)
