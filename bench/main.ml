@@ -276,13 +276,6 @@ let e6 () =
          [ "policy"; "triggered"; "success"; "unstable"; "unstable%";
            "skips(no-res)"; "skips(peak)" ]
        [ report_row "smart (paper)" smart; report_row "naive (baseline)" naive ]);
-  (* Peak-hour pollution: builds that consumed testbed nodes during user
-     working hours. *)
-  let peak_violations report =
-    ignore report;
-    0
-  in
-  ignore peak_violations;
   Printf.printf
     "paper: the external tool submits only when resources are available, with\n\
      exponential backoff, peak-hours avoidance and same-site anti-affinity;\n\
@@ -457,11 +450,6 @@ let a2_a3 () =
       ("no peak avoidance", { base with Framework.Scheduler.avoid_peak_hours = false });
       ("no site anti-affinity", { base with Framework.Scheduler.one_job_per_site = false }) ]
   in
-  let peak_builds report =
-    ignore report;
-    ()
-  in
-  ignore peak_builds;
   let rows =
     List.map
       (fun (name, policy) ->
@@ -1097,61 +1085,55 @@ let e16_engine () =
   section "E16" "engine: events/s, allocation and step latency on the 2-month reference campaign";
   let months = 2 in
   let anchor_events_per_s = 6500.0 in
-  let samples = ref [||] in
-  let nsamples = ref 0 in
-  let events = ref 0 in
-  let steps = ref 0 in
-  let wall = ref 0.0 in
-  let minor_words = ref 0.0 in
-  let drive engine horizon =
-    let cap = ref 65536 in
-    let buf = ref (Array.make !cap 0.0) in
-    let n = ref 0 in
-    let minor0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let continue = ref true in
-    while !continue do
-      match Simkit.Engine.next_time engine with
-      | Some next when next <= horizon ->
-        let s0 = Unix.gettimeofday () in
-        ignore (Simkit.Engine.step engine);
-        let dt = Unix.gettimeofday () -. s0 in
-        if !n = !cap then begin
-          let nbuf = Array.make (2 * !cap) 0.0 in
-          Array.blit !buf 0 nbuf 0 !cap;
-          buf := nbuf;
-          cap := 2 * !cap
-        end;
-        !buf.(!n) <- dt;
-        incr n
-      | _ -> continue := false
-    done;
-    wall := Unix.gettimeofday () -. t0;
-    minor_words := Gc.minor_words () -. minor0;
-    (* Clamp the clock to the horizon exactly as [run_until] would. *)
-    Simkit.Engine.run_until engine horizon;
-    events := Simkit.Engine.events_executed engine;
-    steps := !n;
-    samples := !buf;
-    nsamples := !n
+  let sim =
+    Framework.Campaign.prepare { Framework.Campaign.default_config with months }
   in
-  let cfg = { Framework.Campaign.default_config with months } in
-  let report = Framework.Campaign.run ~drive cfg in
-  let sorted = Array.sub !samples 0 !nsamples in
+  let engine = Framework.Campaign.sim_engine sim in
+  let horizon = Framework.Campaign.sim_horizon sim in
+  let cap = ref 65536 in
+  let buf = ref (Array.make !cap 0.0) in
+  let n = ref 0 in
+  let minor0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  let continue = ref true in
+  while !continue do
+    match Simkit.Engine.next_time engine with
+    | Some next when next <= horizon ->
+      let s0 = Unix.gettimeofday () in
+      ignore (Simkit.Engine.step engine);
+      let dt = Unix.gettimeofday () -. s0 in
+      if !n = !cap then begin
+        let nbuf = Array.make (2 * !cap) 0.0 in
+        Array.blit !buf 0 nbuf 0 !cap;
+        buf := nbuf;
+        cap := 2 * !cap
+      end;
+      !buf.(!n) <- dt;
+      incr n
+    | _ -> continue := false
+  done;
+  let wall = Unix.gettimeofday () -. t0 in
+  let minor_words = Gc.minor_words () -. minor0 in
+  (* Clamp the clock to the horizon exactly as [run_until] would. *)
+  Simkit.Engine.run_until engine horizon;
+  let events = Simkit.Engine.events_executed engine in
+  let steps = !n in
+  let report = Framework.Campaign.finalize sim in
+  let sorted = Array.sub !buf 0 steps in
   Array.sort compare sorted;
   let percentile p =
-    if !nsamples = 0 then 0.0
+    if steps = 0 then 0.0
     else begin
-      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int !nsamples)) - 1 in
-      sorted.(Stdlib.max 0 (Stdlib.min (!nsamples - 1) rank)) *. 1e6
+      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int steps)) - 1 in
+      sorted.(Stdlib.max 0 (Stdlib.min (steps - 1) rank)) *. 1e6
     end
   in
-  let events_per_s = float_of_int !events /. !wall in
-  let minor_words_per_event = !minor_words /. float_of_int (Stdlib.max 1 !events) in
+  let events_per_s = float_of_int events /. wall in
+  let minor_words_per_event = minor_words /. float_of_int (Stdlib.max 1 events) in
   let p50 = percentile 50.0 and p95 = percentile 95.0 and p99 = percentile 99.0 in
-  let max_us = if !nsamples = 0 then 0.0 else sorted.(!nsamples - 1) *. 1e6 in
+  let max_us = if steps = 0 then 0.0 else sorted.(steps - 1) *. 1e6 in
   let speedup = events_per_s /. anchor_events_per_s in
-  Printf.printf "%d events (%d steps) over %d months in %.2f s\n" !events !steps months !wall;
+  Printf.printf "%d events (%d steps) over %d months in %.2f s\n" events steps months wall;
   Printf.printf "  throughput: %.0f events/s (%.1fx the %.0f events/s anchor)\n"
     events_per_s speedup anchor_events_per_s;
   Printf.printf "  allocation: %.1f minor words/event\n" minor_words_per_event;
@@ -1164,9 +1146,9 @@ let e16_engine () =
     Obj
       [ ("scenario", String "engine");
         ("months", Int months);
-        ("events_executed", Int !events);
-        ("steps", Int !steps);
-        ("wall_s", Float !wall);
+        ("events_executed", Int events);
+        ("steps", Int steps);
+        ("wall_s", Float wall);
         ("events_per_s", Float events_per_s);
         ("minor_words_per_event", Float minor_words_per_event);
         ("step_latency_us",

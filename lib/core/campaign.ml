@@ -481,9 +481,9 @@ let finalize sim =
     statuspage_html = Webstatus.render page;
   }
 
-let run ?(drive = Simkit.Engine.run_until) cfg =
+let run cfg =
   let sim = prepare cfg in
-  drive (sim_engine sim) (sim_horizon sim);
+  Simkit.Engine.run_until (sim_engine sim) (sim_horizon sim);
   finalize sim
 
 let pp_report ppf report =

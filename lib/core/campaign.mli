@@ -134,11 +134,8 @@ val finalize : sim -> report
 (** Assemble the report.  Call once, after the engine reached
     {!sim_horizon}. *)
 
-val run : ?drive:(Simkit.Engine.t -> float -> unit) -> config -> report
-(** Execute the whole campaign synchronously (simulated time only).
-    [drive] (default {!Simkit.Engine.run_until}) receives the engine and
-    the campaign horizon in seconds and must drain events up to it; the
-    engine benchmark uses it to step the reference campaign manually and
-    sample per-step latencies without disturbing the run. *)
+val run : config -> report
+(** Execute the whole campaign synchronously (simulated time only):
+    [prepare], {!Simkit.Engine.run_until} the horizon, [finalize]. *)
 
 val pp_report : Format.formatter -> report -> unit

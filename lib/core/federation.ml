@@ -276,7 +276,19 @@ let advance_parallel cfg members ~wend =
           Domain.spawn (fun () ->
               List.iter (fun m -> Simkit.Engine.run_until m.eng wend) mine))
     in
-    List.iter Domain.join domains
+    (* Join every shard before re-raising, so no domain keeps mutating
+       members while the first exception propagates. *)
+    let failures =
+      List.filter_map
+        (fun d ->
+          match Domain.join d with
+          | () -> None
+          | exception e -> Some (e, Printexc.get_raw_backtrace ()))
+        domains
+    in
+    match failures with
+    | (e, bt) :: _ -> Printexc.raise_with_backtrace e bt
+    | [] -> ()
   end
 
 (* The unsharded baseline: one global event loop over the whole
@@ -311,9 +323,6 @@ let advance_reference members ~wend =
 
 let run cfg =
   let specs = validate cfg in
-  (* The family->configs expansion cache is process-global; fill it
-     before any domain runs so parallel windows only ever read it. *)
-  List.iter (fun f -> ignore (Testdef.expand f)) Testdef.all_families;
   let members =
     specs
     |> List.map (fun spec ->

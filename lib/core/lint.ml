@@ -355,13 +355,16 @@ let check_triage ~path (tc : Triage.config) =
       l.Bugtracker.min_idle >= 0.0 && tc.Triage.dedup_window >= 0.0
       && l.Bugtracker.min_idle < tc.Triage.dedup_window
     then
-      [ w "limits.min_idle (%g s) is below dedup_window (%g s): a bug can            be evicted while its retry burst is still collapsing, churning            the tombstone store"
+      [ w "limits.min_idle (%g s) is below dedup_window (%g s): a bug can \
+             be evicted while its retry burst is still collapsing, churning \
+             the tombstone store"
           l.Bugtracker.min_idle tc.Triage.dedup_window ]
     else []
   in
   let flaps =
     (if tc.Triage.flap_cycles < 2 then
-       [ e "flap_cycles must be at least 2 (got %d): a single reopen is a             regression, not a flap"
+       [ e "flap_cycles must be at least 2 (got %d): a single reopen is a \
+            regression, not a flap"
            tc.Triage.flap_cycles ]
      else [])
     @
@@ -388,7 +391,8 @@ let check_triage ~path (tc : Triage.config) =
          else [])
       @
       if d.Triage.evidence_loss >= 1.0 then
-        [ w "drill.evidence_loss of %g drops every bundle: the pipeline              files nothing"
+        [ w "drill.evidence_loss of %g drops every bundle: the pipeline \
+           files nothing"
             d.Triage.evidence_loss ]
       else []
   in

@@ -116,7 +116,7 @@ let per_site family =
       })
     Testbed.Inventory.sites
 
-let expand_uncached family =
+let expand_family family =
   match family with
   | Environments ->
     List.concat_map
@@ -163,15 +163,11 @@ let expand_uncached family =
         })
       Kavlan.standard_vlans
 
-let expand_cache : (family, config list) Hashtbl.t = Hashtbl.create 16
+(* Expanded once at module initialisation and read-only afterwards, so
+   every domain can share it. *)
+let expansions = List.map (fun f -> (f, expand_family f)) all_families
 
-let expand family =
-  match Hashtbl.find_opt expand_cache family with
-  | Some configs -> configs
-  | None ->
-    let configs = expand_uncached family in
-    Hashtbl.replace expand_cache family configs;
-    configs
+let expand family = List.assq family expansions
 
 let catalog () = List.concat_map expand all_families
 

@@ -5,11 +5,9 @@
    doubles as the FIFO tie-break since ids are allocated in scheduling
    order.  Nothing is boxed per event on the schedule/step path.
 
-   [run]/[run_until]/[step] drain the queue through a same-instant
-   batch buffer: all entries sharing the minimum timestamp are
-   extracted in one pass, then consumed slot by slot, so the heap is
-   not re-heapified between events of the same instant.  Consumed
-   slots are cleared so the arena never retains dead closures.
+   [run]/[run_until]/[step] drain the queue one event at a time: pop
+   the root, run it.  Popped slots are cleared so the arena never
+   retains dead closures.
 
    Cancellation bookkeeping is two small structures keyed by event id:
    a bitmap of consumed ids (so cancelling an already-fired handle is a
@@ -25,13 +23,6 @@ type t = {
   mutable labels : int array;  (* interned label index, -1 = none *)
   mutable actions : (t -> unit) array;
   mutable size : int;
-  (* same-instant batch being consumed *)
-  mutable batch_time : float;
-  mutable batch_ids : int array;
-  mutable batch_labels : int array;
-  mutable batch_actions : (t -> unit) array;
-  mutable batch_len : int;
-  mutable batch_pos : int;
   (* cancellation bookkeeping *)
   cancelled : Intset.t;
   mutable consumed : Bytes.t;  (* bitmap over ids: executed or skipped *)
@@ -59,12 +50,6 @@ let create ?(seed = 42L) () =
     labels = [||];
     actions = [||];
     size = 0;
-    batch_time = 0.0;
-    batch_ids = [||];
-    batch_labels = [||];
-    batch_actions = [||];
-    batch_len = 0;
-    batch_pos = 0;
     cancelled = Intset.create ();
     consumed = Bytes.make 64 '\000';
     master_rng = Prng.create seed;
@@ -243,42 +228,14 @@ let every t ?label ~period ?(jitter = 0.0) f =
 
 (* Draining. *)
 
-let batch_grow t =
-  let cap = Array.length t.batch_ids in
-  if t.batch_len = cap then begin
-    let ncap = if cap = 0 then 16 else 2 * cap in
-    let ids = Array.make ncap 0 in
-    let labels = Array.make ncap (-1) in
-    let actions = Array.make ncap noop in
-    Array.blit t.batch_ids 0 ids 0 cap;
-    Array.blit t.batch_labels 0 labels 0 cap;
-    Array.blit t.batch_actions 0 actions 0 cap;
-    t.batch_ids <- ids;
-    t.batch_labels <- labels;
-    t.batch_actions <- actions
-  end
-
-(* Extract every heap entry sharing the minimum timestamp into the
-   batch buffer, in (time, id) order, without re-heapifying between
-   consumed events.  Requires a non-empty heap and an exhausted batch. *)
-let refill_batch t =
+(* Pop the root and consume it: skip it if cancelled (no clock
+   advance), otherwise execute it.  Requires a non-empty heap. *)
+let consume_root t =
   let time = t.times.(0) in
-  t.batch_time <- time;
-  t.batch_len <- 0;
-  t.batch_pos <- 0;
-  while t.size > 0 && t.times.(0) = time do
-    batch_grow t;
-    let i = t.batch_len in
-    t.batch_ids.(i) <- t.ids.(0);
-    t.batch_labels.(i) <- t.labels.(0);
-    t.batch_actions.(i) <- t.actions.(0);
-    t.batch_len <- i + 1;
-    heap_remove_min t
-  done
-
-(* Consume one event: skip it if cancelled (no clock advance, as
-   before), otherwise execute it. *)
-let consume t ~time ~id ~label action =
+  let id = t.ids.(0) in
+  let label = t.labels.(0) in
+  let action = t.actions.(0) in
+  heap_remove_min t;
   consumed_add t id;
   if (not (Intset.is_empty t.cancelled)) && Intset.mem t.cancelled id then
     Intset.remove t.cancelled id
@@ -291,73 +248,24 @@ let consume t ~time ~id ~label action =
     | Some f -> f ~time:t.clock ~label:(label_option t label)
   end
 
-(* Slots are cleared as they go so the buffer never outlives its
-   closures. *)
-let consume_slot t =
-  let i = t.batch_pos in
-  t.batch_pos <- i + 1;
-  let id = t.batch_ids.(i) in
-  let action = t.batch_actions.(i) in
-  let label = t.batch_labels.(i) in
-  t.batch_actions.(i) <- noop;
-  consume t ~time:t.batch_time ~id ~label action
-
-(* A skipped cancelled slot leaves the clock behind the batch time, so
-   an external driver can then schedule ahead of the in-flight batch;
-   such an event must fire before the rest of the batch to keep global
-   (time, id) order, and it is served straight from the heap. *)
-let root_before_batch t =
-  t.batch_pos < t.batch_len && t.size > 0 && t.times.(0) < t.batch_time
-
-let consume_root t =
-  let time = t.times.(0) in
-  let id = t.ids.(0) in
-  let label = t.labels.(0) in
-  let action = t.actions.(0) in
-  heap_remove_min t;
-  consume t ~time ~id ~label action
-
 let step t =
-  if root_before_batch t then begin
-    consume_root t;
-    true
-  end
-  else if t.batch_pos < t.batch_len then begin
-    consume_slot t;
-    true
-  end
-  else if t.size = 0 then false
+  if t.size = 0 then false
   else begin
-    refill_batch t;
-    consume_slot t;
+    consume_root t;
     true
   end
 
 let run_until t horizon =
-  let continue = ref true in
-  while !continue do
-    if root_before_batch t then
-      if t.times.(0) <= horizon then consume_root t else continue := false
-    else if t.batch_pos < t.batch_len then
-      if t.batch_time <= horizon then consume_slot t else continue := false
-    else if t.size > 0 && t.times.(0) <= horizon then refill_batch t
-    else continue := false
+  while t.size > 0 && t.times.(0) <= horizon do
+    consume_root t
   done;
   t.clock <- Float.max t.clock horizon
 
 let run t = while step t do () done
 
-let next_time t =
-  let batch = if t.batch_pos < t.batch_len then Some t.batch_time else None in
-  let root = if t.size > 0 then Some t.times.(0) else None in
-  match (batch, root) with
-  | None, None -> None
-  | (Some _ as only), None | None, (Some _ as only) -> only
-  | Some b, Some r -> Some (Float.min b r)
+let next_time t = if t.size = 0 then None else Some t.times.(0)
 
-let pending t =
-  (* Scheduled-but-unconsumed events live either in the heap or in the
-     unconsumed tail of the batch; cancelled ids are a subset of them. *)
-  t.size + (t.batch_len - t.batch_pos) - Intset.cardinal t.cancelled
+(* Cancelled ids are a subset of the ids still in the heap. *)
+let pending t = t.size - Intset.cardinal t.cancelled
 
 let events_executed t = t.executed

@@ -261,6 +261,53 @@ let test_12mo_matrix () =
   checkb "parallel (domain-per-shard) driver matches sequential" true
     (String.equal expected (run_fp (cfg ~driver:F.Parallel 4)))
 
+(* ---- failing members ---------------------------------------------------------- *)
+
+exception Member_failed
+
+(* Every member quarantines nancy's nodes after a day-1 site outage, and
+   the first repair asks [mttr_of_kind], which raises.  With one window
+   spanning the whole horizon, both shards of a Parallel K=2 run raise
+   in the same window; the driver must join both domains before the
+   exception reaches the caller.  The shard that gets there second
+   lingers ~0.1 s of CPU time first, so a driver that re-raises as soon
+   as one join fails would surface the exception before it has raised. *)
+let test_parallel_failure_joins_every_shard () =
+  let entered = Atomic.make 0 and raised = Atomic.make 0 in
+  let health =
+    {
+      Framework.Health.default_config with
+      Framework.Health.mttr_of_kind =
+        (fun _ ->
+          if Atomic.fetch_and_add entered 1 > 0 then begin
+            let t0 = Sys.time () in
+            while Sys.time () -. t0 < 0.1 do Domain.cpu_relax () done
+          end;
+          Atomic.incr raised;
+          raise Member_failed);
+    }
+  in
+  let base = light_base 1 in
+  let cfg =
+    {
+      (light_cfg ~testbeds:2 ~shards:2 ~driver:F.Parallel ()) with
+      F.lookahead = Simkit.Calendar.month;
+      base =
+        {
+          base with
+          Framework.Campaign.health = Some health;
+          health_faults =
+            [ (Simkit.Calendar.day, Testbed.Faults.Site_outage,
+               Testbed.Faults.Site "nancy") ];
+        };
+    }
+  in
+  match F.run cfg with
+  | _ -> Alcotest.fail "a raising member must fail the federation run"
+  | exception Member_failed ->
+    checki "every shard had raised when the exception surfaced" 2
+      (Atomic.get raised)
+
 (* ---- unfederated byte-identity ---------------------------------------------- *)
 
 (* The prepare/drive/finalize split that federation needed must leave
@@ -303,6 +350,9 @@ let () =
       ( "acceptance",
         [ Alcotest.test_case "12-month 10-testbed matrix" `Slow test_12mo_matrix
         ] );
+      ( "failure",
+        [ Alcotest.test_case "parallel failure joins every shard" `Quick
+            test_parallel_failure_joins_every_shard ] );
       ( "campaign split",
         [ Alcotest.test_case "unfederated byte-identity" `Quick
             test_campaign_split_identity ] );

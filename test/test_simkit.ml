@@ -542,6 +542,108 @@ let prop_engine_pending_consistent =
       List.iter apply ops;
       !ok)
 
+(* A script of nested scheduling: every executed event consumes up to
+   two ops, each scheduling a follow-up (mostly at the current instant)
+   or cancelling a random still-waiting event.  Run against a scheduler
+   given as closures, it logs (event, firing time) in execution order. *)
+type 'h scheduler = {
+  sched : float -> (unit -> unit) -> 'h;
+  cancel : 'h -> unit;
+  clock : unit -> float;
+  drain : unit -> unit;
+}
+
+let run_nested_script roots ops s =
+  let ops = ref ops and waiting = ref [] and log = ref [] and next = ref 0 in
+  let rec add delay =
+    let seq = !next in
+    incr next;
+    let h = s.sched delay (fun () -> fire seq) in
+    waiting := !waiting @ [ (seq, h) ]
+  and fire seq =
+    log := (seq, s.clock ()) :: !log;
+    waiting := List.filter (fun (q, _) -> q <> seq) !waiting;
+    for _ = 1 to 2 do
+      match !ops with
+      | [] -> ()
+      | o :: rest ->
+        ops := rest;
+        act o
+    done
+  and act o =
+    if o <= 3 then add 0.0
+    else if o <= 5 then add 1.0
+    else if o = 6 then add 2.5
+    else if o <= 9 then begin
+      match !waiting with
+      | [] -> ()
+      | l ->
+        let seq, h = List.nth l (o mod List.length l) in
+        s.cancel h;
+        waiting := List.filter (fun (q, _) -> q <> seq) l
+    end
+  in
+  for i = 0 to roots - 1 do add (float_of_int (i mod 3)) done;
+  s.drain ();
+  List.rev !log
+
+(* The reference scheduler: an unsorted list scanned for its (time, id)
+   minimum at every step; a handle is the event's cancelled flag. *)
+let list_model_scheduler () =
+  let clock = ref 0.0 and queue = ref [] and next = ref 0 in
+  let rec drain () =
+    match !queue with
+    | [] -> ()
+    | first :: rest ->
+      let time, id, cancelled, f =
+        List.fold_left
+          (fun ((bt, bi, _, _) as best) ((t, i, _, _) as cand) ->
+            if t < bt || (t = bt && i < bi) then cand else best)
+          first rest
+      in
+      queue := List.filter (fun (_, i, _, _) -> i <> id) !queue;
+      if not !cancelled then begin
+        clock := time;
+        f ()
+      end;
+      drain ()
+  in
+  {
+    sched =
+      (fun delay f ->
+        let id = !next and cancelled = ref false in
+        incr next;
+        queue := (!clock +. delay, id, cancelled, f) :: !queue;
+        cancelled);
+    cancel = (fun c -> c := true);
+    clock = (fun () -> !clock);
+    drain;
+  }
+
+let prop_engine_nested_order =
+  QCheck.Test.make
+    ~name:"engine: nested same-instant schedule/cancel runs in (time, id) order"
+    ~count:300
+    QCheck.(triple (int_range 1 6) (float_bound_inclusive 3.0) (list (int_bound 11)))
+    (fun (roots, horizon, ops) ->
+      let e = Simkit.Engine.create () in
+      let engine =
+        {
+          sched = (fun delay f -> Simkit.Engine.schedule e ~delay (fun _ -> f ()));
+          cancel = Simkit.Engine.cancel e;
+          clock = (fun () -> Simkit.Engine.now e);
+          drain =
+            (fun () ->
+              Simkit.Engine.run_until e horizon;
+              Simkit.Engine.run e);
+        }
+      in
+      let got = run_nested_script roots ops engine in
+      let expected = run_nested_script roots ops (list_model_scheduler ()) in
+      got = expected
+      && Simkit.Engine.pending e = 0
+      && Simkit.Engine.events_executed e = List.length got)
+
 (* ---- Calendar ------------------------------------------------------------- *)
 
 let test_calendar_basics () =
@@ -898,7 +1000,8 @@ let () =
             test_engine_jitter_zero_draws_nothing;
           Alcotest.test_case "jitter stream isolated" `Quick
             test_engine_jitter_isolated;
-          qc prop_engine_pending_consistent ] );
+          qc prop_engine_pending_consistent;
+          qc prop_engine_nested_order ] );
       ( "calendar",
         [ Alcotest.test_case "basics" `Quick test_calendar_basics;
           Alcotest.test_case "weekend" `Quick test_calendar_weekend;

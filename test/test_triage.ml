@@ -480,6 +480,14 @@ let test_operator_prioritizes_reopened () =
 
 let codes diags = List.map (fun d -> d.Framework.Lint.code) diags
 
+(* Catches a wrapped message string missing its [\] continuation. *)
+let check_single_spaced diags =
+  List.iter
+    (fun d ->
+      let msg = d.Framework.Lint.message in
+      checkb ("no double space in: " ^ msg) false (contains msg "  "))
+    diags
+
 let test_l013_limit_errors () =
   let base = Framework.Triage.default_config in
   let with_limits limits = { base with Framework.Triage.limits } in
@@ -497,8 +505,9 @@ let test_l013_limit_errors () =
   checkb "max_live error" true
     (Framework.Lint.errors (Framework.Lint.check_triage ~path:"t" bad_cap) <> []);
   let bad_flap = { base with Framework.Triage.flap_cycles = 1 } in
-  checkb "flap_cycles error" true
-    (Framework.Lint.errors (Framework.Lint.check_triage ~path:"t" bad_flap) <> [])
+  let diags = Framework.Lint.check_triage ~path:"t" bad_flap in
+  checkb "flap_cycles error" true (Framework.Lint.errors diags <> []);
+  check_single_spaced diags
 
 let test_l013_eviction_thrash_warning () =
   let base = Framework.Triage.default_config in
@@ -511,7 +520,8 @@ let test_l013_eviction_thrash_warning () =
   in
   let diags = Framework.Lint.check_triage ~path:"t" cfg in
   checkb "thrash flagged as warning" true
-    (codes diags = [ "L013" ] && Framework.Lint.errors diags = [])
+    (codes diags = [ "L013" ] && Framework.Lint.errors diags = []);
+  check_single_spaced diags
 
 let test_l013_drill_range () =
   let cfg =
@@ -521,7 +531,8 @@ let test_l013_drill_range () =
     }
   in
   let diags = Framework.Lint.check_triage ~path:"t" cfg in
-  checki "both drill knobs flagged" 2 (List.length (Framework.Lint.errors diags))
+  checki "both drill knobs flagged" 2 (List.length (Framework.Lint.errors diags));
+  check_single_spaced diags
 
 let test_triage_preset_lints_clean () =
   let cfg = List.assoc "triage" Framework.Lint.presets in
