@@ -9,12 +9,21 @@ let family_weight = function
   | Testdef.Paralleldeploy | Testdef.Oarstate | Testdef.Cmdline | Testdef.Sidapi ->
     1.0
 
-(* Families whose configurations are keyed by cluster name. *)
-let cluster_families =
-  List.filter
+(* Cluster -> families with a configuration keyed by that cluster, in
+   [Testdef.all_families] order (so the score sums add up in a fixed
+   order), computed once: a render scores every cluster. *)
+let families_of_cluster =
+  let table = Hashtbl.create 64 in
+  List.iter
     (fun family ->
-      List.exists (fun c -> c.Testdef.cluster <> None) (Testdef.expand family))
-    Testdef.all_families
+      Testdef.expand family
+      |> List.filter_map (fun c -> c.Testdef.cluster)
+      |> List.sort_uniq String.compare
+      |> List.iter (fun cluster ->
+             Hashtbl.replace table cluster
+               (family :: Option.value ~default:[] (Hashtbl.find_opt table cluster))))
+    (List.rev Testdef.all_families);
+  table
 
 let cell_value = function
   | Statuspage.Ok_ -> Some 1.0
@@ -26,19 +35,13 @@ let cluster_score page ~cluster =
   let total_weight, score =
     List.fold_left
       (fun (weight_acc, score_acc) family ->
-        let applicable =
-          List.exists
-            (fun c -> c.Testdef.cluster = Some cluster)
-            (Testdef.expand family)
-        in
-        if not applicable then (weight_acc, score_acc)
-        else
-          match cell_value (Statuspage.latest page ~family ~scope:cluster) with
-          | Some v ->
-            let w = family_weight family in
-            (weight_acc +. w, score_acc +. (w *. v))
-          | None -> (weight_acc, score_acc))
-      (0.0, 0.0) cluster_families
+        match cell_value (Statuspage.latest page ~family ~scope:cluster) with
+        | Some v ->
+          let w = family_weight family in
+          (weight_acc +. w, score_acc +. (w *. v))
+        | None -> (weight_acc, score_acc))
+      (0.0, 0.0)
+      (Option.value ~default:[] (Hashtbl.find_opt families_of_cluster cluster))
   in
   if total_weight = 0.0 then None else Some (score /. total_weight)
 

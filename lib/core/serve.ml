@@ -106,7 +106,8 @@ type t = {
   mutable recoveries : int;
   mutable degraded_s : float;
   mutable alerts_fired : int;
-  mutable staleness_samples : (float * int) list;  (* value, weight *)
+  mutable staleness_zero : int;  (* weight of every zero-staleness serve *)
+  mutable staleness_samples : (float * int) list;  (* value > 0, weight *)
   mutable staleness_max : float;
   (* wall-clock probe, injected by the benchmark *)
   mutable clock : (unit -> float) option;
@@ -144,11 +145,15 @@ let ensure_current t =
 let staleness_now t now =
   match t.dirty_since with Some since -> now -. since | None -> 0.0
 
+(* Most ticks serve at zero staleness; they share one counter, so the
+   sample list grows only with degraded ticks. *)
 let sample_staleness t value weight =
-  if weight > 0 then begin
-    t.staleness_samples <- (value, weight) :: t.staleness_samples;
-    if value > t.staleness_max then t.staleness_max <- value
-  end
+  if weight > 0 then
+    if value = 0.0 then t.staleness_zero <- t.staleness_zero + weight
+    else begin
+      t.staleness_samples <- (value, weight) :: t.staleness_samples;
+      if value > t.staleness_max then t.staleness_max <- value
+    end
 
 (* ---- admission ---------------------------------------------------------- *)
 
@@ -359,6 +364,7 @@ let attach ?alerts ~config env page =
       recoveries = 0;
       degraded_s = 0.0;
       alerts_fired = 0;
+      staleness_zero = 0;
       staleness_samples = [];
       staleness_max = 0.0;
       clock = None;
@@ -394,11 +400,12 @@ let etag t = if t.cached_gen < 0 then None else Some t.cached_etag
 let busy_seconds t = t.busy_s
 let set_clock t clock = t.clock <- Some clock
 
-let weighted_percentile samples p =
-  match samples with
+(* [sorted] ascending by value; samples of equal value may be split or
+   merged freely without changing the result. *)
+let weighted_percentile sorted p =
+  match sorted with
   | [] -> 0.0
-  | samples ->
-    let sorted = List.sort (fun (a, _) (b, _) -> Float.compare a b) samples in
+  | sorted ->
     let total = List.fold_left (fun acc (_, n) -> acc + n) 0 sorted in
     let target = p *. float_of_int total in
     let rec pick cumulative = function
@@ -412,6 +419,11 @@ let weighted_percentile samples p =
 
 let summary t =
   let served = t.fresh_n + t.not_modified_n + t.stale_n + t.fallback_n in
+  let staleness =
+    (if t.staleness_zero > 0 then [ (0.0, t.staleness_zero) ] else [])
+    @ t.staleness_samples
+    |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
+  in
   {
     reads = t.reads;
     fresh = t.fresh_n;
@@ -427,8 +439,8 @@ let summary t =
     recoveries = t.recoveries;
     degraded_seconds = t.degraded_s;
     alerts_fired = t.alerts_fired;
-    staleness_p50 = weighted_percentile t.staleness_samples 0.50;
-    staleness_p99 = weighted_percentile t.staleness_samples 0.99;
+    staleness_p50 = weighted_percentile staleness 0.50;
+    staleness_p99 = weighted_percentile staleness 0.99;
     staleness_max = t.staleness_max;
     hit_ratio =
       (if served = 0 then nan

@@ -6,11 +6,11 @@
     simulates that service in front of a {!Statuspage} aggregate and
     makes it robust along four axes:
 
-    - {b O(delta) snapshots}: rendered pages are cached and stamped with
-      the page's {!Statuspage.generation}; a read after a build
-      completion re-renders at most once (single flight), every other
-      read is a cache hit, and conditional reads carrying the current
-      ETag are answered [Not_modified] without any body.
+    - {b Generation-stamped snapshots}: rendered pages are cached and
+      stamped with the page's {!Statuspage.generation}; a read after a
+      build completion re-renders at most once (single flight), every
+      other read is a cache hit, and conditional reads carrying the
+      current ETag are answered [Not_modified] without any body.
     - {b Load shedding}: admission goes through a token bucket
       ([rate_limit]/[burst]) backed by a bounded queue ([queue_limit]);
       demand beyond both is {e explicitly} shed and counted, never

@@ -18,19 +18,17 @@ type family_counter = {
 type t = {
   env : Env.t;
   cells : (string * string, record) Hashtbl.t;  (* (family, scope) -> latest *)
-  site_cells : (string * string * string, record) Hashtbl.t;
-      (* (family, site, scope) *)
+  site_cells : (string * string, (string, record) Hashtbl.t) Hashtbl.t;
+      (* (family, site) -> scope -> latest: a site cell of the matrix
+         folds only its own scopes *)
   months : (int, month_counter) Hashtbl.t;
   families : (string, family_counter) Hashtbl.t;
-  (* Snapshot versioning for the serving layer: the global counter bumps
-     on every recorded completion, the per-site counters only when a
-     build of that site lands, so a cached per-site view invalidates in
-     O(delta) — a completion elsewhere leaves it untouched.  Counters
-     are monotonic for the lifetime of the value: [reset] wipes the
-     aggregates but never rewinds them, so a cache keyed on a generation
-     can never mistake a post-reset page for the one it stamped. *)
+  (* Snapshot versioning for the serving layer: bumped on every recorded
+     completion.  Monotonic for the lifetime of the value: [reset] wipes
+     the aggregates but never rewinds it, so a cache keyed on a
+     generation can never mistake a post-reset page for the one it
+     stamped. *)
   mutable generation : int;
-  site_generations : (string, int) Hashtbl.t;
 }
 
 let cell_to_string = function
@@ -63,22 +61,21 @@ let scope_of_config config =
     | Some vlan -> string_of_int vlan
     | None -> Option.value ~default:"global" config.Testdef.site)
 
-let month_counter t month =
-  match Hashtbl.find_opt t.months month with
-  | Some c -> c
+let find_or_add table key make =
+  match Hashtbl.find_opt table key with
+  | Some v -> v
   | None ->
-    let c = { completed = 0; successful = 0; failed = 0; unstable_n = 0 } in
-    Hashtbl.replace t.months month c;
-    c
+    let v = make () in
+    Hashtbl.replace table key v;
+    v
+
+let month_counter t month =
+  find_or_add t.months month (fun () ->
+      { completed = 0; successful = 0; failed = 0; unstable_n = 0 })
 
 let family_counter t family =
-  let key = Testdef.family_to_string family in
-  match Hashtbl.find_opt t.families key with
-  | Some c -> c
-  | None ->
-    let c = { f_ok = 0; f_ko = 0; f_unstable = 0 } in
-    Hashtbl.replace t.families key c;
-    c
+  find_or_add t.families (Testdef.family_to_string family) (fun () ->
+      { f_ok = 0; f_ko = 0; f_unstable = 0 })
 
 let on_completed t build =
   match (Jobs.config_of_build build, build.Ci.Build.result) with
@@ -96,41 +93,30 @@ let on_completed t build =
     in
     let cell = cell_of_result result in
     let store table key =
-      let record =
-        match Hashtbl.find_opt table key with
-        | Some r -> r
-        | None ->
-          let r = { latest = None } in
-          Hashtbl.replace table key r;
-          r
-      in
+      let record = find_or_add table key (fun () -> { latest = None }) in
       record.latest <- Some (now, cell)
     in
     store t.cells (family, scope);
     t.generation <- t.generation + 1;
-    (match Testdef.effective_site config with
-     | Some site ->
-       Hashtbl.replace t.site_generations site
-         (1 + Option.value ~default:0 (Hashtbl.find_opt t.site_generations site))
-     | None -> ());
     (match config.Testdef.site with
-     | Some site -> store t.site_cells (family, site, scope)
+     | Some site ->
+       store
+         (find_or_add t.site_cells (family, site) (fun () -> Hashtbl.create 8))
+         scope
      | None -> ());
     let mc = month_counter t (Simkit.Calendar.month_index now) in
+    let fc = family_counter t config.Testdef.family in
     mc.completed <- mc.completed + 1;
     (match cell with
      | Ok_ ->
        mc.successful <- mc.successful + 1;
-       (family_counter t config.Testdef.family).f_ok <-
-         (family_counter t config.Testdef.family).f_ok + 1
+       fc.f_ok <- fc.f_ok + 1
      | Ko ->
        mc.failed <- mc.failed + 1;
-       (family_counter t config.Testdef.family).f_ko <-
-         (family_counter t config.Testdef.family).f_ko + 1
+       fc.f_ko <- fc.f_ko + 1
      | Unst | Missing ->
        mc.unstable_n <- mc.unstable_n + 1;
-       (family_counter t config.Testdef.family).f_unstable <-
-         (family_counter t config.Testdef.family).f_unstable + 1)
+       fc.f_unstable <- fc.f_unstable + 1)
   | _ -> ()
 
 let create env =
@@ -138,11 +124,10 @@ let create env =
     {
       env;
       cells = Hashtbl.create 2048;
-      site_cells = Hashtbl.create 2048;
+      site_cells = Hashtbl.create 128;
       months = Hashtbl.create 16;
       families = Hashtbl.create 16;
       generation = 0;
-      site_generations = Hashtbl.create 16;
     }
   in
   Ci.Server.on_build_complete env.Env.ci (fun build -> on_completed t build);
@@ -152,7 +137,7 @@ let apply t build = on_completed t build
 
 let reset t =
   (* Wipe the aggregates (the serving layer's crash drill) but keep the
-     generation counters monotonic — see the type comment. *)
+     generation counter monotonic — see the type comment. *)
   Hashtbl.reset t.cells;
   Hashtbl.reset t.site_cells;
   Hashtbl.reset t.months;
@@ -160,22 +145,20 @@ let reset t =
 
 let generation t = t.generation
 
-let site_generation t ~site =
-  Option.value ~default:0 (Hashtbl.find_opt t.site_generations site)
-
 let latest t ~family ~scope =
   match Hashtbl.find_opt t.cells (Testdef.family_to_string family, scope) with
   | Some { latest = Some (_, cell) } -> cell
   | _ -> Missing
 
 let site_status t ~family ~site =
-  let family_name = Testdef.family_to_string family in
-  Hashtbl.fold
-    (fun (f, s, _) record acc ->
-      if String.equal f family_name && String.equal s site then
-        match record.latest with Some (_, cell) -> worse acc cell | None -> acc
-      else acc)
-    t.site_cells Missing
+  match Hashtbl.find_opt t.site_cells (Testdef.family_to_string family, site) with
+  | None -> Missing
+  | Some scopes ->
+    (* [worse] is commutative and associative: fold order is irrelevant. *)
+    Hashtbl.fold
+      (fun _ record acc ->
+        match record.latest with Some (_, cell) -> worse acc cell | None -> acc)
+      scopes Missing
 
 let per_test_matrix t =
   let header = "test" :: Testbed.Inventory.sites in

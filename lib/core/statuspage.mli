@@ -24,19 +24,15 @@ val apply : t -> Ci.Build.t -> unit
 
 val reset : t -> unit
 (** Wipe every aggregate (cells, site cells, months, per-family
-    counters) — the serving layer's [Serve_crash] drill.  Generation
-    counters are {e not} rewound: they are monotonic for the lifetime of
-    the value, so snapshot caches keyed on a generation can never
-    confuse a rebuilt page with the one they stamped. *)
+    counters) — the serving layer's [Serve_crash] drill.  The
+    generation counter is {e not} rewound: it is monotonic for the
+    lifetime of the value, so snapshot caches keyed on a generation can
+    never confuse a rebuilt page with the one they stamped. *)
 
 val generation : t -> int
 (** Bumped once per recorded completion; a cached rendering of any view
-    is current iff its stamped generation still matches. *)
-
-val site_generation : t -> site:string -> int
-(** Per-site generation: bumps only when a completion touches the site
-    (its {!Testdef.effective_site}), so per-site views invalidate in
-    O(delta). *)
+    is current iff its stamped generation still matches.  There is no
+    finer-grained counter: any completion invalidates every view. *)
 
 val cell_to_string : cell -> string
 
@@ -50,7 +46,8 @@ val latest : t -> family:Testdef.family -> scope:string -> cell
 
 val site_status : t -> family:Testdef.family -> site:string -> cell
 (** Aggregated over the family's configurations belonging to the site
-    (worst of the latest results; Missing if none ran). *)
+    (worst of the latest results; Missing if none ran).  Cells are
+    indexed by (family, site), so this folds only that pair's scopes. *)
 
 val per_test_matrix : t -> string
 (** Rows = test families, columns = sites. *)

@@ -153,6 +153,172 @@ let prop_monthly_success_order_independent =
       in
       ascending shuffled && shuffled = sorted)
 
+(* ---- (family, site) index vs the flat-table oracle ---------------------------- *)
+
+let all_configs =
+  Array.of_list (List.concat_map Framework.Testdef.expand Framework.Testdef.all_families)
+
+let results =
+  [| Ci.Build.Success; Ci.Build.Unstable; Ci.Build.Failure; Ci.Build.Aborted;
+     Ci.Build.Not_built |]
+
+let config_build ~number config result =
+  { (mk_build ~number ~finished_at:(float_of_int number *. 600.0) result) with
+    Ci.Build.job_name = Framework.Jobs.job_name config.Framework.Testdef.family;
+    axes = Framework.Testdef.axes_of_config config;
+  }
+
+(* The pre-index definition of [site_status]: one flat (family, site,
+   scope) table of latest cells, scanned whole for every matrix cell. *)
+let oracle_site_status builds ~family ~site =
+  let rank = function
+    | Framework.Statuspage.Missing -> 0
+    | Framework.Statuspage.Ok_ -> 1
+    | Framework.Statuspage.Unst -> 2
+    | Framework.Statuspage.Ko -> 3
+  in
+  let worse a b = if rank a >= rank b then a else b in
+  let cell_of_result = function
+    | Ci.Build.Success -> Framework.Statuspage.Ok_
+    | Ci.Build.Unstable -> Framework.Statuspage.Unst
+    | Ci.Build.Failure | Ci.Build.Aborted | Ci.Build.Not_built ->
+      Framework.Statuspage.Ko
+  in
+  let scope config =
+    match config.Framework.Testdef.cluster, config.Framework.Testdef.vlan with
+    | Some cluster, _ -> cluster
+    | None, Some vlan -> string_of_int vlan
+    | None, None -> Option.value ~default:"global" config.Framework.Testdef.site
+  in
+  let flat = Hashtbl.create 64 in
+  List.iter
+    (fun build ->
+      match
+        (Framework.Jobs.config_of_build build, build.Ci.Build.result)
+      with
+      | Some ({ Framework.Testdef.site = Some s; _ } as config), Some result ->
+        Hashtbl.replace flat
+          (Framework.Testdef.family_to_string config.Framework.Testdef.family, s,
+           scope config)
+          (cell_of_result result)
+      | _ -> ())
+    builds;
+  let name = Framework.Testdef.family_to_string family in
+  Hashtbl.fold
+    (fun (f, s, _) cell acc ->
+      if String.equal f name && String.equal s site then worse acc cell else acc)
+    flat Framework.Statuspage.Missing
+
+(* Each step completes one random configuration, or (first component 0)
+   wipes the page and replays the journal, as the serving layer's crash
+   recovery does. *)
+let prop_site_status_matches_flat_oracle =
+  QCheck.Test.make ~count:200
+    ~name:"site_status over the (family, site) index equals the flat-table fold"
+    QCheck.(
+      list_of_size (Gen.int_range 1 80)
+        (triple (int_bound 15)
+           (int_bound (Array.length all_configs - 1))
+           (int_bound (Array.length results - 1))))
+    (fun steps ->
+      let env = Framework.Env.create ~seed:6020L () in
+      let page = Framework.Statuspage.create env in
+      let journal =
+        List.fold_left
+          (fun (journal, number) (op, config, result) ->
+            if op = 0 then begin
+              Framework.Statuspage.reset page;
+              List.iter (Framework.Statuspage.apply page) (List.rev journal);
+              (journal, number)
+            end
+            else
+              let build =
+                config_build ~number all_configs.(config) results.(result)
+              in
+              Framework.Statuspage.apply page build;
+              (build :: journal, number + 1))
+          ([], 1) steps
+        |> fst |> List.rev
+      in
+      List.for_all
+        (fun family ->
+          List.for_all
+            (fun site ->
+              Framework.Statuspage.site_status page ~family ~site
+              = oracle_site_status journal ~family ~site)
+            Testbed.Inventory.sites)
+        Framework.Testdef.all_families)
+
+(* The pre-index definition of [Confidence.cluster_score]: scan every
+   cluster-keyed family's expansion for the cluster on each call. *)
+let oracle_cluster_score page ~cluster =
+  let cluster_families =
+    List.filter
+      (fun family ->
+        List.exists
+          (fun c -> c.Framework.Testdef.cluster <> None)
+          (Framework.Testdef.expand family))
+      Framework.Testdef.all_families
+  in
+  let total_weight, score =
+    List.fold_left
+      (fun (weight_acc, score_acc) family ->
+        let applicable =
+          List.exists
+            (fun c -> c.Framework.Testdef.cluster = Some cluster)
+            (Framework.Testdef.expand family)
+        in
+        let value =
+          match Framework.Statuspage.latest page ~family ~scope:cluster with
+          | Framework.Statuspage.Ok_ -> Some 1.0
+          | Framework.Statuspage.Unst -> Some 0.5
+          | Framework.Statuspage.Ko -> Some 0.0
+          | Framework.Statuspage.Missing -> None
+        in
+        match value with
+        | Some v when applicable ->
+          let w = Framework.Confidence.family_weight family in
+          (weight_acc +. w, score_acc +. (w *. v))
+        | _ -> (weight_acc, score_acc))
+      (0.0, 0.0) cluster_families
+  in
+  if total_weight = 0.0 then None else Some (score /. total_weight)
+
+let test_cluster_score_matches_oracle () =
+  let env = Framework.Env.create ~seed:6021L () in
+  let page = Framework.Statuspage.create env in
+  (* Every configuration but one in seven, cycling through the results,
+     so clusters mix OK, unstable, KO and missing families. *)
+  Array.iteri
+    (fun i config ->
+      if i mod 7 <> 3 then
+        Framework.Statuspage.apply page
+          (config_build ~number:(i + 1) config results.(i mod Array.length results)))
+    all_configs;
+  List.iter
+    (fun spec ->
+      let cluster = spec.Testbed.Inventory.cluster in
+      Alcotest.(check (option (float 0.0)))
+        (cluster ^ " score is bit-identical")
+        (oracle_cluster_score page ~cluster)
+        (Framework.Confidence.cluster_score page ~cluster))
+    Testbed.Inventory.clusters
+
+(* ---- pinned page bytes --------------------------------------------------------- *)
+
+(* [Report.to_json] does not carry the page, so pin its bytes here: the
+   one-month default campaign is the page `g5ktest status` prints. *)
+let test_status_page_pinned () =
+  let report =
+    Framework.Campaign.run
+      { Framework.Campaign.default_config with Framework.Campaign.months = 1 }
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "statuspage_html" "6b4bf482c57ea6e03ab08582e7c29562"
+    (md5 report.Framework.Campaign.statuspage_html);
+  Alcotest.(check string) "statuspage" "5af4a130b129365b3f1b73f8ea76b073"
+    (md5 report.Framework.Campaign.statuspage)
+
 (* ---- campaign regression integration -------------------------------------------- *)
 
 let test_campaign_with_regression_jobs () =
@@ -196,7 +362,12 @@ let () =
         [ Alcotest.test_case "empty page shows -- not nan" `Quick
             test_empty_page_no_nan;
           Qc.to_alcotest prop_monthly_success_order_independent ] );
+      ( "index",
+        [ Qc.to_alcotest prop_site_status_matches_flat_oracle;
+          Alcotest.test_case "cluster score matches the expand scan" `Quick
+            test_cluster_score_matches_oracle ] );
       ( "campaign",
         [ Alcotest.test_case "regression jobs nightly" `Slow
-            test_campaign_with_regression_jobs ] );
+            test_campaign_with_regression_jobs;
+          Alcotest.test_case "status page bytes pinned" `Slow test_status_page_pinned ] );
     ]
