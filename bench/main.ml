@@ -363,17 +363,9 @@ let e10 () =
 let a1 () =
   section "A1" "ablation: whole-cluster vs per-node scheduling (open question)";
   let run strategy =
-    let instance = Testbed.Instance.build ~seed:111L () in
-    let oar = Oar.Manager.create instance in
-    let env =
-      { Framework.Env.instance; oar;
-        registry =
-          Kadeploy.Image.registry (Testbed.Faults.context instance.Testbed.Instance.faults);
-        collector = Monitoring.Collector.create instance;
-        ci = Ci.Server.create instance.Testbed.Instance.engine;
-        trace = Simkit.Tracelog.create () }
-    in
-    let engine = instance.Testbed.Instance.engine in
+    let env = Framework.Env.create ~seed:111L ~executors:6 () in
+    let oar = env.Framework.Env.oar in
+    let engine = Framework.Env.engine env in
     let rng = Simkit.Prng.split (Simkit.Engine.rng engine) in
     (* A dedicated heavy stream of small jobs on genepi keeps the cluster
        ~full with staggered reservations — the paper's "waiting for all
@@ -811,7 +803,11 @@ let e13_health () =
     Framework.Jobs.define_all env ~on_evidence:(fun _ -> ());
     let s = Framework.Scheduler.create env in
     List.iter (Framework.Scheduler.enable_family s) Framework.Testdef.all_families;
-    if loop then ignore (Framework.Health.attach ~scheduler:s env);
+    if loop then
+      ignore
+        (Framework.Health.attach ~scheduler:s
+           ~alerts:(Monitoring.Alerts.create env.Framework.Env.collector)
+           env);
     s
   in
   let per_poll s =
@@ -1188,7 +1184,8 @@ let e17_serve () =
   let env = Framework.Env.create ~seed:1717L () in
   Framework.Jobs.define_all env ~on_evidence:(fun _ -> ());
   let page = Framework.Statuspage.create env in
-  let serve = Framework.Serve.attach ~config:serve_cfg env page in
+  let alerts = Monitoring.Alerts.create env.Framework.Env.collector in
+  let serve = Framework.Serve.attach ~alerts ~config:serve_cfg env page in
   Framework.Serve.set_clock serve Unix.gettimeofday;
   let scheduler = Framework.Scheduler.create env in
   List.iter (Framework.Scheduler.enable_family scheduler) Framework.Testdef.all_families;

@@ -553,18 +553,10 @@ let federation_cmd =
 
 let pernode_cmd =
   let run seed cluster days =
-    let instance = Testbed.Instance.build ~seed () in
-    let oar = Oar.Manager.create instance in
-    let env =
-      { Framework.Env.instance; oar;
-        registry =
-          Kadeploy.Image.registry (Testbed.Faults.context instance.Testbed.Instance.faults);
-        collector = Monitoring.Collector.create instance;
-        ci = Ci.Server.create instance.Testbed.Instance.engine;
-        trace = Simkit.Tracelog.create () }
-    in
-    let rng = Simkit.Prng.split (Simkit.Engine.rng instance.Testbed.Instance.engine) in
-    ignore (Oar.Workload.start ~rng oar);
+    let env = Framework.Env.create ~seed ~executors:6 () in
+    let engine = Framework.Env.engine env in
+    let rng = Simkit.Prng.split (Simkit.Engine.rng engine) in
+    ignore (Oar.Workload.start ~rng env.Framework.Env.oar);
     let whole =
       Framework.Pernode.create env ~strategy:Framework.Pernode.Whole_cluster ~cluster
     in
@@ -573,8 +565,7 @@ let pernode_cmd =
     in
     Framework.Pernode.start whole ~period:600.0;
     Framework.Pernode.start per_node ~period:600.0;
-    Simkit.Engine.run_until instance.Testbed.Instance.engine
-      (float_of_int days *. Simkit.Calendar.day);
+    Simkit.Engine.run_until engine (float_of_int days *. Simkit.Calendar.day);
     let show name tracker =
       Printf.printf "%-14s first coverage: %s; sweeps completed: %d\n" name
         (match Framework.Pernode.time_to_coverage tracker with

@@ -472,7 +472,7 @@ let finalize sim =
       ^ (match triage_summary with
         | Some s ->
           "\n== Triage (failure-signature pipeline) ==\n"
-          ^ Statuspage.render_triage s
+          ^ Triage.render s
         | None -> "")
       ^ (match serve_summary with
         | Some s ->

@@ -1,21 +1,21 @@
 type config = {
   suspect_threshold : float;
   quarantine_threshold : float;
-  release_threshold : float;
   decay_half_life : float;
   blame_failure : float;
   blame_unstable : float;
-  credit_success : float;
   down_blame : float;
   sweep_period : float;
   triage_delay : float;
   max_repair_attempts : int;
-  healthy_floor : float option;
   mttr_of_kind : Testbed.Faults.kind -> Simkit.Dist.t;
   default_mttr : Simkit.Dist.t;
 }
 
 let hour = 3600.0
+let release_threshold = 0.5
+let credit_success = 0.5
+let healthy_floor = 0.5
 
 let default_mttr_of_kind = function
   | Testbed.Faults.Site_outage -> Simkit.Dist.Erlang (2, 4.0 *. hour)
@@ -27,16 +27,13 @@ let default_config =
   {
     suspect_threshold = 2.0;
     quarantine_threshold = 3.0;
-    release_threshold = 0.5;
     decay_half_life = Simkit.Calendar.day;
     blame_failure = 1.0;
     blame_unstable = 0.3;
-    credit_success = 0.5;
     down_blame = 1.0;
     sweep_period = 1800.0;
     triage_delay = 1.0 *. hour;
     max_repair_attempts = 3;
-    healthy_floor = Some 0.5;
     mttr_of_kind = default_mttr_of_kind;
     default_mttr = Simkit.Dist.Exponential (6.0 *. hour);
   }
@@ -68,7 +65,7 @@ type score = { mutable value : float; mutable last : float }
 type t = {
   env : Env.t;
   cfg : config;
-  alerts : Monitoring.Alerts.t option;
+  alerts : Monitoring.Alerts.t;
   rng : Simkit.Prng.t;
   scores : (string, score) Hashtbl.t;
   unhealthy_site : (string, int) Hashtbl.t;
@@ -85,7 +82,6 @@ type t = {
   mutable retired : int;
   mutable release_seconds : float;
   mutable alerts_fired : int;
-  mutable running : bool;
 }
 
 (* ---- pure pieces -------------------------------------------------------- *)
@@ -138,15 +134,12 @@ let site_healthy_fraction t site =
   else float_of_int (total - unhealthy_in_site t site) /. float_of_int total
 
 let observe_site t site =
-  match t.alerts with
+  match
+    Monitoring.Alerts.observe_site_health t.alerts ~now:(Env.now t.env) ~site
+      ~healthy_fraction:(site_healthy_fraction t site)
+  with
+  | Some _ -> t.alerts_fired <- t.alerts_fired + 1
   | None -> ()
-  | Some alerts -> (
-    match
-      Monitoring.Alerts.observe_site_health alerts ~now:(Env.now t.env) ~site
-        ~healthy_fraction:(site_healthy_fraction t site)
-    with
-    | Some _ -> t.alerts_fired <- t.alerts_fired + 1
-    | None -> ())
 
 (* ---- transitions --------------------------------------------------------- *)
 
@@ -200,10 +193,8 @@ let release t node =
    | None -> ());
   Hashtbl.remove t.attempts host;
   t.released <- t.released + 1;
-  (match t.alerts with
-   | Some alerts ->
-     Monitoring.Alerts.resolve_quarantine alerts ~now:(Env.now t.env) ~host
-   | None -> ())
+  Monitoring.Alerts.resolve t.alerts ~now:(Env.now t.env)
+    (Monitoring.Alerts.Quarantine host)
 
 let retire t node ~reason =
   set_health t node Testbed.Node.Retired ~reason;
@@ -272,13 +263,10 @@ let quarantine t node ~reason =
   bump t.site_quarantines node.Testbed.Node.site_name 1;
   Hashtbl.replace t.quarantine_since host (Env.now t.env);
   Hashtbl.replace t.attempts host 0;
-  (match t.alerts with
-   | Some alerts ->
-     ignore
-       (Monitoring.Alerts.notify_quarantine alerts ~now:(Env.now t.env) ~host
-          ~reason);
-     t.alerts_fired <- t.alerts_fired + 1
-   | None -> ());
+  ignore
+    (Monitoring.Alerts.fire t.alerts ~now:(Env.now t.env)
+       (Monitoring.Alerts.Quarantine host) ~reason);
+  t.alerts_fired <- t.alerts_fired + 1;
   after t t.cfg.triage_delay (fun () ->
       if node.Testbed.Node.health = Testbed.Node.Quarantined then
         begin_repair t node)
@@ -305,7 +293,7 @@ let reconsider t node ~reason =
     end
   | Testbed.Node.Suspected ->
     if value >= t.cfg.quarantine_threshold then quarantine t node ~reason
-    else if value <= t.cfg.release_threshold then
+    else if value <= release_threshold then
       set_health t node Testbed.Node.Healthy ~reason:"suspicion decayed"
   | _ -> ()
 
@@ -347,7 +335,7 @@ let on_build_complete t build =
                  (match build.Ci.Build.result with
                   | Some r -> Ci.Build.result_to_string r
                   | None -> "lost"))
-        | None -> credit t node t.cfg.credit_success))
+        | None -> credit t node credit_success))
     build.Ci.Build.touched_hosts
 
 (* A build that dies without reserving anything (e.g. its site's OAR is
@@ -385,7 +373,7 @@ let probe t config =
 
 (* ---- lifecycle ------------------------------------------------------------ *)
 
-let attach ?(config = default_config) ?scheduler ?alerts env =
+let attach ?(config = default_config) ?scheduler ~alerts env =
   let t =
     {
       env;
@@ -407,26 +395,20 @@ let attach ?(config = default_config) ?scheduler ?alerts env =
       retired = 0;
       release_seconds = 0.0;
       alerts_fired = 0;
-      running = true;
     }
   in
-  (match (alerts, config.healthy_floor) with
-   | Some sink, Some floor ->
-     List.iter
-       (fun site -> Monitoring.Alerts.set_healthy_floor sink ~site ~floor)
-       Testbed.Inventory.sites
-   | _ -> ());
+  List.iter
+    (fun site ->
+      Monitoring.Alerts.set_healthy_floor alerts ~site ~floor:healthy_floor)
+    Testbed.Inventory.sites;
   (match scheduler with
    | Some sched -> Scheduler.set_health_probe sched (probe t)
    | None -> ());
-  Ci.Server.on_build_complete env.Env.ci (fun build ->
-      if t.running then on_build_complete t build);
+  Ci.Server.on_build_complete env.Env.ci (on_build_complete t);
   Simkit.Engine.every (Env.engine env) ~label:"health" ~period:config.sweep_period (fun _ ->
-      if t.running then sweep t;
-      t.running);
+      sweep t;
+      true);
   t
-
-let detach t = t.running <- false
 
 let events t = List.rev t.events
 

@@ -34,13 +34,9 @@ type config = {
   quarantine_threshold : float;
       (** score at which the node is quarantined and the repair pipeline
           starts *)
-  release_threshold : float;
-      (** a [Suspected] node whose decayed score falls back below this
-          returns to [Healthy] without operator action *)
   decay_half_life : float;  (** seconds for a suspicion score to halve *)
   blame_failure : float;  (** score added per failed build touching the node *)
   blame_unstable : float;  (** score added per unstable build *)
-  credit_success : float;  (** score subtracted per successful build *)
   down_blame : float;
       (** score added per sweep while the node is physically [Down] *)
   sweep_period : float;  (** seconds between background sweeps *)
@@ -48,10 +44,6 @@ type config = {
       (** seconds a quarantined node waits before an operator picks it up *)
   max_repair_attempts : int;
       (** failed repair+reverify cycles before the node is [Retired] *)
-  healthy_floor : float option;
-      (** when set (and an alert sink is attached), every site is armed
-          with this healthy-fraction floor; a correlated outage dropping
-          a site below it pages *)
   mttr_of_kind : Testbed.Faults.kind -> Simkit.Dist.t;
       (** repair-time distribution per root-cause fault kind *)
   default_mttr : Simkit.Dist.t;
@@ -60,10 +52,16 @@ type config = {
 
 val default_config : config
 (** Quarantine after ~3 failures' worth of blame (threshold 3.0, suspect
-    at 2.0, release below 0.5), one-day half-life, 30-minute sweeps,
-    1-hour triage, 3 repair attempts, site healthy floor 0.5;
-    MTTR: Erlang-2 (mean 8 h) for site outages, exponential 4 h for PDU
-    failures, 2 h for partitions, 6 h otherwise. *)
+    at 2.0), one-day half-life, 30-minute sweeps, 1-hour triage, 3 repair
+    attempts; MTTR: Erlang-2 (mean 8 h) for site outages, exponential
+    4 h for PDU failures, 2 h for partitions, 6 h otherwise.  Fixed, not
+    configurable: each successful build subtracts 0.5 from the score of
+    every node it touched, and every site pages when its healthy
+    fraction drops below 0.5. *)
+
+val release_threshold : float
+(** 0.5: a [Suspected] node whose decayed score falls back below this
+    returns to [Healthy] without operator action. *)
 
 (** One recorded state-machine transition. *)
 type transition = {
@@ -100,16 +98,14 @@ type t
 val attach :
   ?config:config ->
   ?scheduler:Scheduler.t ->
-  ?alerts:Monitoring.Alerts.t ->
+  alerts:Monitoring.Alerts.t ->
   Env.t ->
   t
 (** Subscribe to build completions (blame channel), start the background
     sweep on the environment's engine, install the scheduler's
-    quarantine probe (see {!Scheduler.set_health_probe}) and arm per-site
-    healthy floors on the alert sink when configured. *)
-
-val detach : t -> unit
-(** Stop the sweep loop; nodes keep their current health. *)
+    quarantine probe (see {!Scheduler.set_health_probe}) and arm every
+    site's healthy floor on [alerts], which also receives one
+    {!Monitoring.Alerts.Quarantine} alert per sidelined host. *)
 
 val decay : half_life:float -> score:float -> dt:float -> float
 (** Pure exponential decay [score * 0.5^(dt / half_life)], exposed for

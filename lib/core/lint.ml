@@ -253,13 +253,13 @@ let check_health ~path (h : Health.config) =
     @ (if
          h.suspect_threshold > 0.0 && h.quarantine_threshold > 0.0
          && not
-              (h.release_threshold < h.suspect_threshold
+              (Health.release_threshold < h.suspect_threshold
               && h.suspect_threshold <= h.quarantine_threshold)
        then
          [ e
              "thresholds must satisfy release (%g) < suspect (%g) <= \
               quarantine (%g)"
-             h.release_threshold h.suspect_threshold h.quarantine_threshold ]
+             Health.release_threshold h.suspect_threshold h.quarantine_threshold ]
        else [])
     @
     if
@@ -282,15 +282,11 @@ let check_health ~path (h : Health.config) =
     @ (if h.triage_delay < 0.0 then
          [ e "triage_delay must be non-negative (got %g)" h.triage_delay ]
        else [])
-    @ (if h.max_repair_attempts < 1 then
-         [ e "max_repair_attempts must be at least 1 (got %d)"
-             h.max_repair_attempts ]
-       else [])
     @
-    match h.healthy_floor with
-    | Some f when f <= 0.0 || f > 1.0 ->
-      [ e "healthy_floor must lie in (0, 1] (got %g)" f ]
-    | _ -> []
+    if h.max_repair_attempts < 1 then
+      [ e "max_repair_attempts must be at least 1 (got %d)"
+          h.max_repair_attempts ]
+    else []
   in
   let mttr =
     let bad_default =
@@ -362,19 +358,10 @@ let check_triage ~path (tc : Triage.config) =
     else []
   in
   let flaps =
-    (if tc.Triage.flap_cycles < 2 then
-       [ e "flap_cycles must be at least 2 (got %d): a single reopen is a \
-            regression, not a flap"
-           tc.Triage.flap_cycles ]
-     else [])
-    @
-    if tc.Triage.flap_window <= 0.0 then
-      [ e "flap_window must be positive (got %g)" tc.Triage.flap_window ]
-    else []
-  in
-  let bundles =
-    if tc.Triage.keep_bundles < 0 then
-      [ e "keep_bundles must be non-negative (got %d)" tc.Triage.keep_bundles ]
+    if tc.Triage.flap_cycles < 2 then
+      [ e "flap_cycles must be at least 2 (got %d): a single reopen is a \
+           regression, not a flap"
+          tc.Triage.flap_cycles ]
     else []
   in
   let drill =
@@ -396,7 +383,7 @@ let check_triage ~path (tc : Triage.config) =
             d.Triage.evidence_loss ]
       else []
   in
-  limits @ dedup @ flaps @ bundles @ drill
+  limits @ dedup @ flaps @ drill
 
 (* {2 Serving configuration checks: L014} *)
 
@@ -447,9 +434,6 @@ let check_serve ~path (sc : Serve.config) =
        else [])
     @ (if sc.Serve.hysteresis_s < 0.0 then
          [ e "hysteresis_s must be non-negative (got %g)" sc.Serve.hysteresis_s ]
-       else [])
-    @ (if sc.Serve.rebuild_s < 0.0 then
-         [ e "rebuild_s must be non-negative (got %g)" sc.Serve.rebuild_s ]
        else [])
     @
     if

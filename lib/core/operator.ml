@@ -26,12 +26,10 @@ type t = {
   mutable credit : float;  (* accumulated fixing capacity *)
   mutable fixed : int;
   mutable windows : int;
-  mutable complaints : int;
 }
 
 let bugs_fixed t = t.fixed
 let maintenance_windows t = t.windows
-let complaints_handled t = t.complaints
 let stop t = t.running <- false
 
 let fix_bug t bug =
@@ -118,8 +116,7 @@ let complaint_sweep t =
     | [] -> ()
     | fault :: _ ->
       Testbed.Faults.repair faults ~now fault;
-      Oar.Manager.refresh_properties t.env.Env.oar;
-      t.complaints <- t.complaints + 1
+      Oar.Manager.refresh_properties t.env.Env.oar
   end
 
 let start ?(config = default_config) env tracker =
@@ -133,7 +130,6 @@ let start ?(config = default_config) env tracker =
       credit = 0.0;
       fixed = 0;
       windows = 0;
-      complaints = 0;
     }
   in
   let engine = Env.engine env in

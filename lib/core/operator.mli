@@ -32,4 +32,3 @@ val stop : t -> unit
 
 val bugs_fixed : t -> int
 val maintenance_windows : t -> int
-val complaints_handled : t -> int

@@ -177,20 +177,6 @@ type summary = {
   deferred_triggers : int;
 }
 
-let empty_summary =
-  {
-    watchdog_aborts = 0;
-    breaker_trips = 0;
-    skipped_breaker_open = 0;
-    retries_spent = 0;
-    retry_budget = max_int;
-    retries_exhausted = 0;
-    ci_outages = 0;
-    queue_drops = 0;
-    dropped_builds = 0;
-    deferred_triggers = 0;
-  }
-
 module Infra = struct
   type config = {
     check_period : float;
@@ -216,7 +202,6 @@ module Infra = struct
     mutable n_queue_drops : int;
     mutable n_dropped_builds : int;
     mutable queue_loss_handled : bool;
-    mutable running : bool;
   }
 
   let key build = (build.Ci.Build.job_name, build.Ci.Build.number)
@@ -278,17 +263,14 @@ module Infra = struct
         n_queue_drops = 0;
         n_dropped_builds = 0;
         queue_loss_handled = false;
-        running = true;
       }
     in
     Ci.Server.on_build_start env.Env.ci (fun build -> on_start t build);
     Ci.Server.on_build_complete env.Env.ci (fun build -> on_complete t build);
     Simkit.Engine.every (Env.engine env) ~period:config.check_period (fun _ ->
-        if t.running then sync t;
-        t.running);
+        sync t;
+        true);
     t
-
-  let detach t = t.running <- false
 
   let watchdog_aborts t = Watchdog.fired t.wd
   let ci_outages t = t.n_ci_outages

@@ -138,8 +138,6 @@ type summary = {
   deferred_triggers : int;  (** triggers queued during an outage, replayed after *)
 }
 
-val empty_summary : summary
-
 module Infra : sig
   (** Supervisor making a running environment survive infrastructure
       faults.  It arms a watchdog for every build that starts (aborting
@@ -169,9 +167,6 @@ module Infra : sig
   val attach : ?config:config -> Env.t -> t
   (** Subscribe to build start/completion and begin the fault-flag
       polling loop on the environment's engine. *)
-
-  val detach : t -> unit
-  (** Stop the polling loop; already-armed watchdogs stay armed. *)
 
   val watchdog_aborts : t -> int
   val ci_outages : t -> int

@@ -152,11 +152,6 @@ let breaker_of t family =
        Hashtbl.replace t.breakers key b;
        Some b)
 
-let breaker_state t family =
-  match Hashtbl.find_opt t.breakers (Testdef.family_to_string family) with
-  | Some b -> Some (Resilience.Breaker.state b)
-  | None -> None
-
 (* ---- due-queue and busy-site bookkeeping ------------------------------- *)
 
 let push_due t entry =

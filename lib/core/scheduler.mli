@@ -121,6 +121,3 @@ val audit_check : t -> (unit, string) result
     due-queue's live contents vs a linear rescan of [next_due].
     Registered by {!Auditor.attach}; [Error] describes every mismatch. *)
 
-val breaker_state : t -> Testdef.family -> Resilience.Breaker.state option
-(** Current breaker state for a family, [None] if no breaker exists
-    (breakers are created lazily on the family's first completion). *)

@@ -14,7 +14,6 @@ type config = {
   stale_queue : int;
   fallback_queue : int;
   hysteresis_s : float;
-  rebuild_s : float;
   tick_period : float;
   readers_per_s : float;
   conditional_fraction : float;
@@ -32,7 +31,6 @@ let default_config =
     stale_queue = 100;
     fallback_queue = 1000;
     hysteresis_s = 120.0;
-    rebuild_s = 300.0;
     tick_period = 30.0;
     readers_per_s = 2.0;
     conditional_fraction = 0.6;
@@ -68,13 +66,15 @@ type summary = {
   hit_ratio : float;
 }
 
-let service_name = "statuspage"
+let rebuild_s = 300.0
+
+let degraded = Monitoring.Alerts.Serving_degraded "statuspage"
 
 type t = {
   env : Env.t;
   page : Statuspage.t;
   cfg : config;
-  alerts : Monitoring.Alerts.t option;
+  alerts : Monitoring.Alerts.t;
   rng : Simkit.Prng.t;  (* dedicated stream: never the engine master *)
   journal : Ci.Build.t list ref;  (* newest first; replayed reversed *)
   (* snapshot cache *)
@@ -166,21 +166,6 @@ let refill t now =
 
 (* ---- degradation ladder ------------------------------------------------- *)
 
-let fire_degraded t now reason =
-  match t.alerts with
-  | None -> t.alerts_fired <- t.alerts_fired + 1
-  | Some alerts ->
-    ignore
-      (Monitoring.Alerts.notify_serving_degraded alerts ~now ~service:service_name
-         ~reason);
-    t.alerts_fired <- t.alerts_fired + 1
-
-let resolve_degraded t now =
-  match t.alerts with
-  | None -> ()
-  | Some alerts ->
-    Monitoring.Alerts.resolve_serving_degraded alerts ~now ~service:service_name
-
 let target_mode t now =
   if now < t.rebuild_until then Static_fallback
   else if t.queued >= t.cfg.fallback_queue then Static_fallback
@@ -191,9 +176,14 @@ let update_mode t now =
   let target = target_mode t now in
   if severity target > severity t.current_mode then begin
     (* Escalate immediately; only the first departure from Fresh pages. *)
-    if t.current_mode = Fresh then
-      fire_degraded t now
-        (Printf.sprintf "serving %s (queue %d)" (mode_to_string target) t.queued);
+    if t.current_mode = Fresh then begin
+      ignore
+        (Monitoring.Alerts.fire t.alerts ~now degraded
+           ~reason:
+             (Printf.sprintf "serving %s (queue %d)" (mode_to_string target)
+                t.queued));
+      t.alerts_fired <- t.alerts_fired + 1
+    end;
     t.current_mode <- target;
     t.calm_since <- None
   end
@@ -205,7 +195,7 @@ let update_mode t now =
       if now -. since >= t.cfg.hysteresis_s then begin
         t.current_mode <- target;
         t.calm_since <- None;
-        if target = Fresh then resolve_degraded t now
+        if target = Fresh then Monitoring.Alerts.resolve t.alerts ~now degraded
       end
   end
   else t.calm_since <- None
@@ -230,7 +220,7 @@ let check_crash t now =
        aggregates are byte-identical to the pre-crash ones. *)
     List.iter (Statuspage.apply t.page) (List.rev !(t.journal));
     t.recoveries <- t.recoveries + 1;
-    t.rebuild_until <- now +. t.cfg.rebuild_s;
+    t.rebuild_until <- now +. rebuild_s;
     t.dirty_since <- Some now
   end
   else if not crashed then t.crash_seen <- false
@@ -330,7 +320,7 @@ let tick t eng =
 
 (* ---- public API --------------------------------------------------------- *)
 
-let attach ?alerts ~config env page =
+let attach ~alerts ~config env page =
   let engine = Env.engine env in
   let t =
     {

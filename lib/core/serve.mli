@@ -24,7 +24,7 @@
     - {b Crash recovery}: a {!Testbed.Faults.Serve_crash} fault wipes
       the in-memory aggregates and snapshot cache mid-campaign; the
       service rebuilds by replaying its build-completion journal through
-      {!Statuspage.apply}, serving the static fallback for [rebuild_s],
+      {!Statuspage.apply}, serving the static fallback for 300 s,
       and converges to pages byte-identical to a run that never crashed.
 
     The synthetic read workload (Poisson arrivals with deterministic
@@ -47,8 +47,6 @@ type config = {
           must exceed [stale_queue] (Trustlint L014) *)
   hysteresis_s : float;
       (** seconds of calm required before climbing back up the ladder *)
-  rebuild_s : float;
-      (** static-fallback window after a crash recovery replay *)
   tick_period : float;  (** service loop period, seconds *)
   readers_per_s : float;  (** offered load (mean Poisson arrival rate) *)
   conditional_fraction : float;
@@ -98,12 +96,13 @@ type summary = {
 type t
 
 val attach :
-  ?alerts:Monitoring.Alerts.t -> config:config -> Env.t -> Statuspage.t -> t
+  alerts:Monitoring.Alerts.t -> config:config -> Env.t -> Statuspage.t -> t
 (** Start the service: subscribes a journal listener to build
     completions, schedules the (jitter-free) service loop on the
     environment's engine, and begins draining the synthetic workload.
-    [alerts] receives {!Monitoring.Alerts.Serving_degraded}
-    notifications when provided. *)
+    Leaving fresh serving fires a
+    [Monitoring.Alerts.Serving_degraded "statuspage"] alert on [alerts];
+    returning to it resolves the alert. *)
 
 val read : t -> ?if_none_match:string -> unit -> response
 (** One on-demand read through the same admission, cache and

@@ -221,14 +221,6 @@ let monthly_success t =
          in
          (month, c.completed, c.successful, ratio))
 
-let overall_success_ratio t =
-  let completed, successful =
-    Hashtbl.fold
-      (fun _ c (total, ok) -> (total + c.completed, ok + c.successful))
-      t.months (0, 0)
-  in
-  if completed = 0 then nan else float_of_int successful /. float_of_int completed
-
 let render_resilience (s : Resilience.summary) =
   let budget =
     if s.Resilience.retry_budget = max_int then "unlimited"
@@ -246,8 +238,6 @@ let render_resilience (s : Resilience.summary) =
       [ "queue drops"; string_of_int s.Resilience.queue_drops ];
       [ "builds dropped"; string_of_int s.Resilience.dropped_builds ];
       [ "deferred triggers"; string_of_int s.Resilience.deferred_triggers ] ]
-
-let render_triage (s : Triage.summary) = Triage.render s
 
 let render_health t (s : Health.summary) =
   let buf = Buffer.create 1024 in

@@ -64,8 +64,6 @@ val monthly_success : t -> (int * int * int * float) list
 (** (month index, completed builds, successful builds, ratio) — the
     "85% ⇒ 93%" series. *)
 
-val overall_success_ratio : t -> float
-
 val render_overview : t -> string
 (** The whole page: per-test matrix, per-family summary, job weather
     (Jenkins-style stability icons) and history. *)
@@ -74,10 +72,6 @@ val render_resilience : Resilience.summary -> string
 (** ASCII table of the resilience counters (watchdog aborts, breaker
     trips, outage/queue-loss events weathered), appended to the page by
     campaigns that run with the resilience layer attached. *)
-
-val render_triage : Triage.summary -> string
-(** Triage pipeline section (delegates to {!Triage.render}): pipeline
-    counters, dedup ratio, store stats and per-category MTTR. *)
 
 val render_health : t -> Health.summary -> string
 (** Self-healing loop section: the loop counters, cumulative quarantine

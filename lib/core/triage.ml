@@ -74,22 +74,19 @@ type config = {
   limits : Bugtracker.limits;
   dedup_window : float;
   flap_cycles : int;
-  flap_window : float;
-  escalate_flappers : bool;
   file_unstable : bool;
-  keep_bundles : int;
   drill : drill option;
 }
+
+let flap_window = 30.0 *. Simkit.Calendar.day
+let keep_bundles = 32
 
 let default_config =
   {
     limits = Bugtracker.default_limits;
     dedup_window = 3600.0;
     flap_cycles = 3;
-    flap_window = 30.0 *. Simkit.Calendar.day;
-    escalate_flappers = true;
     file_unstable = false;
-    keep_bundles = 32;
     drill = None;
   }
 
@@ -114,7 +111,7 @@ type t = {
   env : Env.t;
   cfg : config;
   tracker : Bugtracker.t;
-  alerts : Monitoring.Alerts.t option;
+  alerts : Monitoring.Alerts.t;
   mutable auditor : Simkit.Audit.t option;
   rng : Simkit.Prng.t option;  (* only drawn for drills *)
   last_filed : (string, string * float) Hashtbl.t;  (* canonical -> job, at *)
@@ -140,7 +137,7 @@ type t = {
 let check_flapping t (bug : Bugtracker.bug) ~now =
   let times =
     now :: Option.value ~default:[] (Hashtbl.find_opt t.reopen_times bug.Bugtracker.id)
-    |> List.filter (fun at -> now -. at <= t.cfg.flap_window)
+    |> List.filter (fun at -> now -. at <= flap_window)
   in
   Hashtbl.replace t.reopen_times bug.Bugtracker.id times;
   if
@@ -150,19 +147,15 @@ let check_flapping t (bug : Bugtracker.bug) ~now =
     Hashtbl.replace t.flappers bug.Bugtracker.id ();
     Env.tracef t.env ~category:"triage" "bug #%d is flapping (%d reopens)"
       bug.Bugtracker.id bug.Bugtracker.reopens;
-    if t.cfg.escalate_flappers then begin
-      t.escalations <- t.escalations + 1;
-      match t.alerts with
-      | Some alerts ->
-        ignore
-          (Monitoring.Alerts.notify_flapping alerts ~now ~bug:bug.Bugtracker.id
-             ~reason:
-               (Printf.sprintf "bug #%d [%s] fixed<->reopened %d times in %.0f days"
-                  bug.Bugtracker.id bug.Bugtracker.category
-                  (List.length times)
-                  (t.cfg.flap_window /. Simkit.Calendar.day)))
-      | None -> ()
-    end
+    t.escalations <- t.escalations + 1;
+    ignore
+      (Monitoring.Alerts.fire t.alerts ~now
+         (Monitoring.Alerts.Flapping bug.Bugtracker.id)
+         ~reason:
+           (Printf.sprintf "bug #%d [%s] fixed<->reopened %d times in %.0f days"
+              bug.Bugtracker.id bug.Bugtracker.category
+              (List.length times)
+              (flap_window /. Simkit.Calendar.day)))
   end
 
 let on_store_event t event =
@@ -184,21 +177,20 @@ let on_store_event t event =
        in
        Hashtbl.replace t.mttr bug.Bugtracker.category (total +. (now -. since), n + 1)
      | None -> ());
-    (match t.alerts with
-     | Some alerts when Hashtbl.mem t.flappers bug.Bugtracker.id ->
-       Monitoring.Alerts.resolve_flapping alerts ~now ~bug:bug.Bugtracker.id
-     | _ -> ())
+    if Hashtbl.mem t.flappers bug.Bugtracker.id then
+      Monitoring.Alerts.resolve t.alerts ~now
+        (Monitoring.Alerts.Flapping bug.Bugtracker.id)
   | Bugtracker.Refiled _ -> ()
   | Bugtracker.Evicted bug -> Hashtbl.remove t.open_since bug.Bugtracker.id
 
-let create ?(config = default_config) ?alerts ?auditor env tracker =
+let create ?(config = default_config) ~alerts env tracker =
   let t =
     {
       env;
       cfg = config;
       tracker;
       alerts;
-      auditor;
+      auditor = None;
       rng =
         (match config.drill with
          | Some _ -> Some (Simkit.Prng.split (Simkit.Engine.rng (Env.engine env)))
@@ -295,13 +287,11 @@ let assemble t ?build ~result evidence =
 (* ---- filing -------------------------------------------------------------- *)
 
 let keep_bundle t bundle =
-  if t.cfg.keep_bundles > 0 then begin
-    let kept = bundle :: t.recent in
-    t.recent <-
-      (if List.length kept > t.cfg.keep_bundles then
-         List.filteri (fun i _ -> i < t.cfg.keep_bundles) kept
-       else kept)
-  end
+  let kept = bundle :: t.recent in
+  t.recent <-
+    (if List.length kept > keep_bundles then
+       List.filteri (fun i _ -> i < keep_bundles) kept
+     else kept)
 
 let file_bundle t bundle =
   t.bundles <- t.bundles + 1;

@@ -68,19 +68,18 @@ type config = {
   dedup_window : float;
       (** seconds within which a {e retried} build re-reporting the same
           canonical signature is collapsed client-side *)
-  flap_cycles : int;  (** reopens within [flap_window] that make a flapper *)
-  flap_window : float;
-  escalate_flappers : bool;  (** page through {!Monitoring.Alerts} *)
+  flap_cycles : int;
+      (** reopens within 30 days that make a flapper, which pages
+          through {!Monitoring.Alerts} *)
   file_unstable : bool;
       (** also file a synthetic ["ci"]-category bug for unschedulable
           (UNSTABLE) builds *)
-  keep_bundles : int;  (** recent bundles retained for reports *)
   drill : drill option;  (** fault injection into the triage path itself *)
 }
 
 val default_config : config
-(** Default limits, 1 h dedup window, 3 reopens / 30 days flaps with
-    escalation, unstable builds counted but not filed, no drill. *)
+(** Default limits, 1 h dedup window, 3 reopens make a flapper,
+    unstable builds counted but not filed, no drill. *)
 
 type summary = {
   builds_observed : int;
@@ -103,19 +102,16 @@ type summary = {
 type t
 
 val create :
-  ?config:config ->
-  ?alerts:Monitoring.Alerts.t ->
-  ?auditor:Simkit.Audit.t ->
-  Env.t ->
-  Bugtracker.t ->
-  t
+  ?config:config -> alerts:Monitoring.Alerts.t -> Env.t -> Bugtracker.t -> t
 (** Subscribe to the tracker's event feed.  The tracker should be
     created with [config.limits] so the store honours the memory bound.
-    Only drill configurations draw engine randomness (one {!Simkit.Prng}
-    split at creation). *)
+    Flapping bugs fire a {!Monitoring.Alerts.Flapping} alert on [alerts]
+    that resolves when the bug is fixed again.  Only drill configurations
+    draw engine randomness (one {!Simkit.Prng} split at creation). *)
 
 val set_auditor : t -> Simkit.Audit.t -> unit
-(** Late-bind the auditor (campaigns create it after the job wiring). *)
+(** Attach the auditor whose failing invariants bundles record
+    (campaigns create it after the job wiring). *)
 
 val observe :
   t -> build:Ci.Build.t -> result:Ci.Build.result -> Bugtracker.evidence list -> unit
@@ -128,7 +124,7 @@ val ingest : t -> Bugtracker.evidence -> unit
     bundle and file one evidence. *)
 
 val recent_bundles : t -> bundle list
-(** Newest first, bounded by [config.keep_bundles]. *)
+(** Newest first, at most 32. *)
 
 val flapping_count : t -> int
 

@@ -52,19 +52,35 @@ let aggregate aggregation values =
        | Max -> Array.fold_left Float.max neg_infinity values
        | Min -> Array.fold_left Float.min infinity values)
 
-let same_source a b =
-  match (a, b) with
-  | Metric r, Metric r' -> String.equal r.rule_name r'.rule_name
-  | Healthy_floor s, Healthy_floor s' -> String.equal s s'
-  | Quarantine h, Quarantine h' -> String.equal h h'
-  | Flapping b, Flapping b' -> Int.equal b b'
-  | Serving_degraded s, Serving_degraded s' -> String.equal s s'
-  | _ -> false
-
 let currently_firing t source =
-  List.find_opt
-    (fun a -> a.resolved_at = None && same_source a.source source)
-    t.alerts
+  List.find_opt (fun a -> a.resolved_at = None && a.source = source) t.alerts
+
+let push t ~now source ~value ~reason =
+  let alert = { source; fired_at = now; value; reason; resolved_at = None } in
+  t.alerts <- alert :: t.alerts;
+  alert
+
+let fire t ~now source ~reason =
+  match currently_firing t source with
+  | Some alert -> alert
+  | None -> push t ~now source ~value:None ~reason
+
+let resolve t ~now source =
+  match currently_firing t source with
+  | Some alert -> alert.resolved_at <- Some now
+  | None -> ()
+
+(* Level-triggered sources fire once while [holds] and resolve when it
+   stops; [reason] is only built for a new alert. *)
+let observe t ~now source ~holds ~value ~reason =
+  if holds then
+    match currently_firing t source with
+    | Some _ -> None
+    | None -> Some (push t ~now source ~value ~reason:(reason ()))
+  else begin
+    resolve t ~now source;
+    None
+  end
 
 let condition_to_string = function
   | Above v -> Printf.sprintf "> %.1f" v
@@ -88,31 +104,12 @@ let evaluate t ~now =
         | Above threshold, Some v -> v > threshold
         | Below threshold, Some v -> v < threshold
       in
-      match (holds, currently_firing t (Metric rule)) with
-      | true, Some _ -> None  (* already firing *)
-      | true, None ->
-        let alert =
-          {
-            source = Metric rule;
-            fired_at = now;
-            value = aggregated;
-            reason =
-              Printf.sprintf "%s %s on %s"
-                (Collector.metric_to_string rule.metric)
-                (condition_to_string rule.condition)
-                rule.host;
-            resolved_at = None;
-          }
-        in
-        t.alerts <- alert :: t.alerts;
-        Some alert
-      | false, Some alert ->
-        alert.resolved_at <- Some now;
-        None
-      | false, None -> None)
+      observe t ~now (Metric rule) ~holds ~value:aggregated ~reason:(fun () ->
+          Printf.sprintf "%s %s on %s"
+            (Collector.metric_to_string rule.metric)
+            (condition_to_string rule.condition)
+            rule.host))
     t.rule_list
-
-(* ---- health-loop alert sources ----------------------------------------- *)
 
 let set_healthy_floor t ~site ~floor =
   t.floors <- (site, floor) :: List.remove_assoc site t.floors
@@ -120,91 +117,11 @@ let set_healthy_floor t ~site ~floor =
 let observe_site_health t ~now ~site ~healthy_fraction =
   match List.assoc_opt site t.floors with
   | None -> None
-  | Some floor -> (
-    let below = healthy_fraction < floor in
-    match (below, currently_firing t (Healthy_floor site)) with
-    | true, Some _ -> None  (* already firing *)
-    | true, None ->
-      let alert =
-        {
-          source = Healthy_floor site;
-          fired_at = now;
-          value = Some healthy_fraction;
-          reason =
-            Printf.sprintf "healthy fraction of %s at %.0f%% (floor %.0f%%)" site
-              (100.0 *. healthy_fraction) (100.0 *. floor);
-          resolved_at = None;
-        }
-      in
-      t.alerts <- alert :: t.alerts;
-      Some alert
-    | false, Some alert ->
-      alert.resolved_at <- Some now;
-      None
-    | false, None -> None)
-
-let notify_quarantine t ~now ~host ~reason =
-  match currently_firing t (Quarantine host) with
-  | Some alert -> alert
-  | None ->
-    let alert =
-      {
-        source = Quarantine host;
-        fired_at = now;
-        value = None;
-        reason;
-        resolved_at = None;
-      }
-    in
-    t.alerts <- alert :: t.alerts;
-    alert
-
-let resolve_quarantine t ~now ~host =
-  match currently_firing t (Quarantine host) with
-  | Some alert -> alert.resolved_at <- Some now
-  | None -> ()
-
-let notify_flapping t ~now ~bug ~reason =
-  match currently_firing t (Flapping bug) with
-  | Some alert -> alert
-  | None ->
-    let alert =
-      {
-        source = Flapping bug;
-        fired_at = now;
-        value = None;
-        reason;
-        resolved_at = None;
-      }
-    in
-    t.alerts <- alert :: t.alerts;
-    alert
-
-let resolve_flapping t ~now ~bug =
-  match currently_firing t (Flapping bug) with
-  | Some alert -> alert.resolved_at <- Some now
-  | None -> ()
-
-let notify_serving_degraded t ~now ~service ~reason =
-  match currently_firing t (Serving_degraded service) with
-  | Some alert -> alert
-  | None ->
-    let alert =
-      {
-        source = Serving_degraded service;
-        fired_at = now;
-        value = None;
-        reason;
-        resolved_at = None;
-      }
-    in
-    t.alerts <- alert :: t.alerts;
-    alert
-
-let resolve_serving_degraded t ~now ~service =
-  match currently_firing t (Serving_degraded service) with
-  | Some alert -> alert.resolved_at <- Some now
-  | None -> ()
+  | Some floor ->
+    observe t ~now (Healthy_floor site) ~holds:(healthy_fraction < floor)
+      ~value:(Some healthy_fraction) ~reason:(fun () ->
+        Printf.sprintf "healthy fraction of %s at %.0f%% (floor %.0f%%)" site
+          (100.0 *. healthy_fraction) (100.0 *. floor))
 
 let source_to_strings = function
   | Metric rule ->

@@ -7,11 +7,13 @@
     absence-of-data rules, evaluated on demand, with firing/resolved
     state tracking.
 
-    Besides metric rules, the health loop feeds two event-style sources:
-    quarantine notifications (one firing alert per sidelined host, see
-    {!notify_quarantine}) and per-site healthy-fraction floors (see
-    {!set_healthy_floor}/{!observe_site_health}) that page when a
-    correlated failure takes out too much of a site. *)
+    Besides metric rules, the module tracks two kinds of sources.
+    Level-triggered ones are observed repeatedly and fire while a
+    condition holds: metric rules ({!evaluate}) and per-site
+    healthy-fraction floors ({!set_healthy_floor}/{!observe_site_health}).
+    Event-style ones are fired and resolved by the subsystem that owns
+    them through {!fire}/{!resolve}: quarantined hosts, flapping bugs and
+    a degraded status-page service. *)
 
 type aggregation = Mean | Max | Min
 
@@ -79,28 +81,11 @@ val observe_site_health :
     is below the site's armed floor, resolves the firing alert when it
     recovers, and is a no-op for sites without a floor. *)
 
-val notify_quarantine : t -> now:float -> host:string -> reason:string -> alert
-(** A node entered quarantine: fire (or return the already-firing)
-    {!Quarantine} alert for the host. *)
+val fire : t -> now:float -> source -> reason:string -> alert
+(** Fire an event-style alert for [source], or return the alert already
+    firing for it (sources are compared structurally). *)
 
-val resolve_quarantine : t -> now:float -> host:string -> unit
-(** The host rejoined service: resolve its firing alert, if any. *)
-
-val notify_flapping : t -> now:float -> bug:int -> reason:string -> alert
-(** The triage loop flagged a bug cycling between fixed and reopened:
-    fire (or return the already-firing) {!Flapping} alert for it. *)
-
-val resolve_flapping : t -> now:float -> bug:int -> unit
-(** The flapping bug was fixed again: resolve its firing alert, if any. *)
-
-val notify_serving_degraded :
-  t -> now:float -> service:string -> reason:string -> alert
-(** The status-page service dropped out of fresh serving (stale reads,
-    static fallback or crash rebuild): fire (or return the
-    already-firing) {!Serving_degraded} alert for it. *)
-
-val resolve_serving_degraded : t -> now:float -> service:string -> unit
-(** The service is serving fresh pages again (after hysteresis):
-    resolve its firing alert, if any. *)
+val resolve : t -> now:float -> source -> unit
+(** Resolve the alert firing for [source], if any. *)
 
 val render : t -> string

@@ -62,8 +62,6 @@ let is_free t ~host ~start ~stop =
   let probe = { start; stop; job = -1 } in
   not (List.exists (overlaps probe) (get t host))
 
-let free_at t ~host time = is_free t ~host ~start:time ~stop:(time +. 1e-9)
-
 let next_free_window t ~host ~after ~duration =
   let intervals = get t host in
   let rec scan candidate = function

@@ -23,8 +23,6 @@ val truncate : t -> host:string -> job:int -> stop:float -> unit
 
 val is_free : t -> host:string -> start:float -> stop:float -> bool
 
-val free_at : t -> host:string -> float -> bool
-
 val next_free_window : t -> host:string -> after:float -> duration:float -> float
 (** Earliest [t >= after] such that the host is continuously free on
     [\[t, t + duration)]. *)

@@ -71,7 +71,6 @@ let jobs t =
 let running_jobs t =
   Hashtbl.fold (fun _ j acc -> j :: acc) t.running []
   |> List.sort (fun a b -> compare a.Job.id b.Job.id)
-let waiting_jobs t = List.filter (fun j -> j.Job.state = Job.Waiting) (jobs t)
 
 let on_job_end t f = t.listeners <- f :: t.listeners
 

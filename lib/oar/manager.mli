@@ -61,7 +61,6 @@ val jobs : t -> Job.t list
 (** All jobs ever submitted, in id order. *)
 
 val running_jobs : t -> Job.t list
-val waiting_jobs : t -> Job.t list
 
 val matching_hosts : t -> Expr.t -> string list
 (** Hosts whose properties satisfy the filter (sorted). *)

@@ -14,7 +14,6 @@ module Online : sig
   val variance : t -> float
   (** Unbiased sample variance; [0.] with fewer than two samples. *)
 
-  val stddev : t -> float
   val min : t -> float
   val max : t -> float
   val sum : t -> float

@@ -60,17 +60,6 @@ let render ?align ~header rows =
   rule ();
   Buffer.contents buf
 
-let render_plain ~header rows =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (String.concat "\t" header);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-      Buffer.add_string buf (String.concat "\t" row);
-      Buffer.add_char buf '\n')
-    rows;
-  Buffer.contents buf
-
 let fmt_float ?(decimals = 2) f =
   if Float.is_nan f then "-" else Printf.sprintf "%.*f" decimals f
 

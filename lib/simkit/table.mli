@@ -11,9 +11,6 @@ val render :
     header are padded with empty cells; longer rows are truncated.
     [align] gives per-column alignment (default all [Left]). *)
 
-val render_plain : header:string list -> string list list -> string
-(** Tab-separated variant for machine consumption. *)
-
 val fmt_float : ?decimals:int -> float -> string
 (** Locale-free float formatting ([nan] renders as ["-"]). *)
 

@@ -94,14 +94,6 @@ let nodes_of_cluster t cluster =
 let nodes_of_site t site =
   Array.to_list t.nodes |> List.filter (fun n -> String.equal n.Node.site_name site)
 
-let available_nodes_of_cluster t cluster =
-  nodes_of_cluster t cluster |> List.filter Node.is_available
-
-let site_of_cluster cluster =
-  match Inventory.find_cluster cluster with
-  | Some spec -> spec.Inventory.site
-  | None -> raise Not_found
-
 let pp_summary ppf t =
   let cores =
     Array.fold_left (fun acc n -> acc + Hardware.total_cores n.Node.reference) 0 t.nodes

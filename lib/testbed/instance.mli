@@ -28,16 +28,11 @@ val nodes_of_cluster : t -> string -> Node.t list
 
 val nodes_of_site : t -> string -> Node.t list
 
-val available_nodes_of_cluster : t -> string -> Node.t list
-
 val now : t -> float
 
 val reboot : t -> Node.t -> on_done:(ok:bool -> unit) -> unit
 (** Take the node through a reboot: unavailable while {!Node.Rebooting},
     then either Alive (callback [ok:true]) or Down ([ok:false]). *)
-
-val site_of_cluster : string -> string
-(** @raise Not_found for unknown clusters. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line inventory summary (the paper's "8 sites, 32 clusters,

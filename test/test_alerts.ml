@@ -161,31 +161,54 @@ let test_healthy_floor_fires_below_and_resolves () =
     <> None);
   checki "two in history" 2 (List.length (Monitoring.Alerts.history alerts))
 
-let test_quarantine_notify_and_resolve () =
+(* Event-style sources share one fire/resolve path: re-firing returns
+   the open incident, resolving stamps it, a second resolve is a no-op. *)
+let test_event_fire_and_resolve source () =
   let _, _, alerts = mk () in
   let a =
-    Monitoring.Alerts.notify_quarantine alerts ~now:100.0 ~host:"grisou-9.nancy"
-      ~reason:"3 build failures"
+    Monitoring.Alerts.fire alerts ~now:100.0 source ~reason:"3 build failures"
   in
-  checkb "quarantine source" true
-    (a.Monitoring.Alerts.source = Monitoring.Alerts.Quarantine "grisou-9.nancy");
+  checkb "source recorded" true (a.Monitoring.Alerts.source = source);
   checkb "reason recorded" true (a.Monitoring.Alerts.reason = "3 build failures");
   checki "firing" 1 (List.length (Monitoring.Alerts.firing alerts));
-  (* Re-notifying the same host returns the open incident. *)
-  let b =
-    Monitoring.Alerts.notify_quarantine alerts ~now:150.0 ~host:"grisou-9.nancy"
-      ~reason:"still failing"
-  in
+  (* Re-firing the same source returns the open incident. *)
+  let b = Monitoring.Alerts.fire alerts ~now:150.0 source ~reason:"still failing" in
   checkb "same incident" true (a == b);
   checki "still one in history" 1 (List.length (Monitoring.Alerts.history alerts));
   checkb "render shows the incident" true
     (String.length (Monitoring.Alerts.render alerts) > 0);
-  Monitoring.Alerts.resolve_quarantine alerts ~now:200.0 ~host:"grisou-9.nancy";
-  checki "resolved on release" 0 (List.length (Monitoring.Alerts.firing alerts));
+  Monitoring.Alerts.resolve alerts ~now:200.0 source;
+  checki "resolved" 0 (List.length (Monitoring.Alerts.firing alerts));
   checkb "resolution stamped" true (a.Monitoring.Alerts.resolved_at = Some 200.0);
-  (* Resolving a host with no open incident is a no-op. *)
-  Monitoring.Alerts.resolve_quarantine alerts ~now:210.0 ~host:"grisou-9.nancy";
+  (* Resolving a source with no open incident is a no-op. *)
+  Monitoring.Alerts.resolve alerts ~now:210.0 source;
+  checkb "resolution kept" true (a.Monitoring.Alerts.resolved_at = Some 200.0);
   checki "history unchanged" 1 (List.length (Monitoring.Alerts.history alerts))
+
+(* Two rules sharing a name are still two sources: one that does not
+   hold must not resolve the other's alert. *)
+let test_same_name_rules_are_distinct () =
+  let instance, collector, alerts = mk () in
+  Simkit.Engine.run_until instance.Testbed.Instance.engine 120.0;
+  Monitoring.Collector.set_load_model collector (fun ~host:_ ~time:_ -> 0.8);
+  let rule threshold =
+    {
+      Monitoring.Alerts.rule_name = "cpu-hot";
+      host = "grisou-1.nancy";
+      metric = Monitoring.Collector.Cpu_load;
+      window = 60.0;
+      aggregation = Monitoring.Alerts.Mean;
+      condition = Monitoring.Alerts.Above threshold;
+    }
+  in
+  Monitoring.Alerts.add_rule alerts (rule 0.5);
+  Monitoring.Alerts.add_rule alerts (rule 0.9);
+  List.iter
+    (fun now -> ignore (Monitoring.Alerts.evaluate alerts ~now))
+    [ 120.0; 180.0; 240.0; 300.0 ];
+  checki "the holding rule stays firing" 1
+    (List.length (Monitoring.Alerts.firing alerts));
+  checki "fired once" 1 (List.length (Monitoring.Alerts.history alerts))
 
 let () =
   Alcotest.run "alerts"
@@ -203,5 +226,13 @@ let () =
           Alcotest.test_case "healthy floor fires and resolves" `Quick
             test_healthy_floor_fires_below_and_resolves;
           Alcotest.test_case "quarantine notify and resolve" `Quick
-            test_quarantine_notify_and_resolve ] );
+            (test_event_fire_and_resolve
+               (Monitoring.Alerts.Quarantine "grisou-9.nancy"));
+          Alcotest.test_case "flapping notify and resolve" `Quick
+            (test_event_fire_and_resolve (Monitoring.Alerts.Flapping 7));
+          Alcotest.test_case "serving-degraded notify and resolve" `Quick
+            (test_event_fire_and_resolve
+               (Monitoring.Alerts.Serving_degraded "statuspage"));
+          Alcotest.test_case "same-name rules are distinct sources" `Quick
+            test_same_name_rules_are_distinct ] );
     ]

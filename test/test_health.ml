@@ -146,6 +146,11 @@ let fast_config =
     default_mttr = Simkit.Dist.Constant 120.0;
   }
 
+let attach ~config env =
+  Framework.Health.attach ~config
+    ~alerts:(Monitoring.Alerts.create env.Framework.Env.collector)
+    env
+
 let trigger_and_run env name =
   ignore (Ci.Server.trigger env.Framework.Env.ci name);
   Framework.Env.run_until env (Framework.Env.now env +. 10.0)
@@ -154,7 +159,7 @@ let test_blame_walks_the_state_machine () =
   let env = Framework.Env.create ~seed:31L () in
   let host = "grisou-3.nancy" in
   let node = Option.get (Testbed.Instance.find_node env.Framework.Env.instance host) in
-  let health = Framework.Health.attach ~config:fast_config env in
+  let health = attach ~config:fast_config env in
   Ci.Server.define env.Framework.Env.ci (failing_job "bad" host);
   checkb "starts in service" true (Testbed.Node.in_service node);
   trigger_and_run env "bad";
@@ -194,7 +199,7 @@ let test_success_credit_releases_suspect () =
   let env = Framework.Env.create ~seed:32L () in
   let host = "grisou-3.nancy" in
   let node = Option.get (Testbed.Instance.find_node env.Framework.Env.instance host) in
-  let health = Framework.Health.attach ~config:fast_config env in
+  let health = attach ~config:fast_config env in
   Ci.Server.define env.Framework.Env.ci (failing_job "bad" host);
   Ci.Server.define env.Framework.Env.ci
     (failing_job ~result:Ci.Build.Success "good" host);
@@ -214,7 +219,7 @@ let test_decay_alone_releases_suspect () =
   let env = Framework.Env.create ~seed:33L () in
   let host = "grisou-3.nancy" in
   let node = Option.get (Testbed.Instance.find_node env.Framework.Env.instance host) in
-  let health = Framework.Health.attach ~config:fast_config env in
+  let health = attach ~config:fast_config env in
   Ci.Server.define env.Framework.Env.ci (failing_job "bad" host);
   trigger_and_run env "bad";
   trigger_and_run env "bad";
@@ -231,7 +236,7 @@ let test_unstable_blame_is_lighter () =
   let env = Framework.Env.create ~seed:34L () in
   let host = "grisou-3.nancy" in
   let node = Option.get (Testbed.Instance.find_node env.Framework.Env.instance host) in
-  let health = Framework.Health.attach ~config:fast_config env in
+  let health = attach ~config:fast_config env in
   Ci.Server.define env.Framework.Env.ci
     (failing_job ~result:Ci.Build.Unstable "meh" host);
   trigger_and_run env "meh";
@@ -248,7 +253,7 @@ let test_persistent_failure_retires () =
   let host = "grisou-3.nancy" in
   let node = Option.get (Testbed.Instance.find_node env.Framework.Env.instance host) in
   let health =
-    Framework.Health.attach
+    attach
       ~config:{ fast_config with Framework.Health.max_repair_attempts = 2 }
       env
   in
@@ -300,7 +305,7 @@ let test_oar_excludes_sidelined_nodes () =
 let test_scheduler_attributes_quarantine_skips () =
   let env = Framework.Env.create ~seed:37L () in
   let health =
-    Framework.Health.attach
+    attach
       ~config:{ fast_config with Framework.Health.triage_delay = 1.0 *. day }
       env
   in

@@ -21,7 +21,8 @@ let mk ?(config = quiet_config) ?(seed = 9001L) () =
   let env = Framework.Env.create ~seed () in
   let page = Framework.Statuspage.create env in
   Framework.Jobs.define_all env ~on_evidence:(fun _ -> ());
-  let serve = Framework.Serve.attach ~config env page in
+  let alerts = Monitoring.Alerts.create env.Framework.Env.collector in
+  let serve = Framework.Serve.attach ~alerts ~config env page in
   (env, page, serve)
 
 let run_build env family axes =

@@ -258,7 +258,12 @@ let make_triage ?(config = Framework.Triage.default_config) ?alerts env =
   let tracker =
     Framework.Bugtracker.create ~limits:config.Framework.Triage.limits ()
   in
-  (Framework.Triage.create ~config ?alerts env tracker, tracker)
+  let alerts =
+    match alerts with
+    | Some alerts -> alerts
+    | None -> Monitoring.Alerts.create env.Framework.Env.collector
+  in
+  (Framework.Triage.create ~config ~alerts env tracker, tracker)
 
 let test_observe_assembles_bundles () =
   let env = Framework.Env.create ~seed:2L () in
