@@ -578,50 +578,6 @@ let a6 () =
   Printf.printf "bugs filed by regression experiments: %d\n" filed;
   Printf.printf "paper: \"adding real user experiments as regression tests?\" — done.\n"
 
-(* ---- E11: resilience under infrastructure faults ---------------------------------------- *)
-
-(* Chaos campaign: CI outage, hung builds and a queue wipe injected
-   mid-campaign, with the resilience layer (watchdogs, breakers, retry
-   budgets) switched on.  Emits the resilience summary as JSON so the
-   run can be diffed/tracked; [--scenario resilience] runs only this. *)
-let e11_resilience () =
-  section "E11" "resilience: chaos campaign (CI outage, hung builds, queue loss)";
-  let day = Simkit.Calendar.day in
-  let report =
-    Framework.Campaign.run
-      { Framework.Campaign.default_config with
-        Framework.Campaign.months = 2;
-        seed = 1111L;
-        resilience = true;
-        infra_faults =
-          [ (5.0 *. day, Testbed.Faults.Ci_outage);
-            (12.0 *. day, Testbed.Faults.Build_hang);
-            (20.0 *. day, Testbed.Faults.Queue_loss);
-            (33.0 *. day, Testbed.Faults.Build_hang);
-            (45.0 *. day, Testbed.Faults.Ci_outage) ];
-        policy =
-          { Framework.Scheduler.smart_policy with
-            Framework.Scheduler.retry_budget = 6;
-            backoff_jitter = 0.3;
-            breaker = Some Framework.Resilience.Breaker.default;
-          };
-      }
-  in
-  (match report.Framework.Campaign.scheduler_stats with
-   | Some s ->
-     Printf.printf
-       "campaign completed: %d builds, %d triggered, %d retries spent, %d \
-        breaker trips\n"
-       report.Framework.Campaign.builds_total s.Framework.Scheduler.triggered
-       s.Framework.Scheduler.retries_spent s.Framework.Scheduler.breaker_trips
-   | None -> ());
-  match report.Framework.Campaign.resilience with
-  | Some summary ->
-    print_endline
-      (Simkit.Json.to_string ~indent:2
-         (Framework.Resilience.summary_to_json summary))
-  | None -> print_endline "(resilience layer was not attached)"
-
 (* ---- E12: scheduler hot path (due-queue vs linear scan) --------------------------------- *)
 
 (* The external scheduler polls every 10 minutes over 751 configurations.
@@ -1479,7 +1435,6 @@ let run_all () =
   e8 ();
   e9 ();
   e10 ();
-  e11_resilience ();
   e12_scheduler ();
   e13_health ();
   e14_lint ();
@@ -1495,8 +1450,7 @@ let run_all () =
   microbenchmarks ()
 
 let scenarios =
-  [ ("all", run_all); ("resilience", e11_resilience);
-    ("scheduler", e12_scheduler); ("health", e13_health);
+  [ ("all", run_all); ("scheduler", e12_scheduler); ("health", e13_health);
     ("lint", e14_lint); ("triage", e15_triage); ("engine", e16_engine);
     ("serve", e17_serve); ("federation", e18_federation);
     ("micro", microbenchmarks) ]

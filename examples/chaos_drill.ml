@@ -48,8 +48,7 @@ let () =
   match report.Framework.Campaign.resilience with
   | None -> failwith "resilience layer was not attached"
   | Some summary ->
-    Format.printf "%s@."
-      (Framework.Statuspage.render_resilience summary);
+    Format.printf "%s@." (Framework.Resilience.render summary);
     Format.printf "summary as JSON:@.%s@."
       (Simkit.Json.to_string ~indent:2
          (Framework.Resilience.summary_to_json summary))

@@ -84,6 +84,46 @@ type report = {
   statuspage_html : string;
 }
 
+type section = {
+  key : string;
+  json : Simkit.Json.t;
+  page : (string * string) option;
+  line : string option;
+}
+
+(* The one list of opt-in subsystems.  Built from the report's typed
+   fields on every call, so a caller that edits a summary sees the edit. *)
+let sections report =
+  let section summary f = Option.to_list (Option.map f summary) in
+  let months =
+    List.filter_map
+      (fun m -> if m.builds > 0 then Some (m.month, m.builds, m.success_ratio) else None)
+      report.monthly
+  in
+  List.concat
+    [ section report.resilience (fun s ->
+          { key = "resilience";
+            json = Resilience.summary_to_json s;
+            page = Some ("Resilience (testing infrastructure)", Resilience.render s);
+            line = Some (Resilience.summary_line s) });
+      section report.health (fun s ->
+          { key = "health";
+            json = Health.summary_to_json s;
+            page = Some ("Node health (self-healing loop)", Health.render ~months s);
+            line = Some (Health.summary_line s) });
+      section report.audit (fun s ->
+          { key = "audit"; json = Simkit.Audit.summary_to_json s; page = None; line = None });
+      section report.triage (fun s ->
+          { key = "triage";
+            json = Triage.summary_to_json s;
+            page = Some ("Triage (failure-signature pipeline)", Triage.render s);
+            line = Some (Triage.summary_line s) });
+      section report.serve (fun s ->
+          { key = "serve";
+            json = Serve.summary_to_json s;
+            page = Some ("Serving (status-page service)", Serve.render s);
+            line = Some (Serve.summary_line s) }) ]
+
 (* Arrival mix: hardware/configuration drift dominates, matching the
    paper's bug list. *)
 let kind_weights =
@@ -432,53 +472,43 @@ let finalize sim =
       List.fold_left (fun acc m -> acc +. float_of_int m.active_faults) 0.0 monthly
       /. float_of_int (List.length monthly)
   in
-  let health_summary = Option.map Health.summary health in
-  let triage_summary = Option.map Triage.summary triage in
-  let serve_summary = Option.map Serve.summary serve in
+  let report =
+    {
+      cfg;
+      monthly;
+      bugs_filed = filed;
+      bugs_fixed = fixed;
+      bugs_by_category = Bugtracker.by_category tracker;
+      faults_injected = List.length history;
+      faults_detected =
+        List.length (List.filter (fun f -> f.Testbed.Faults.detected_at <> None) history);
+      faults_repaired =
+        List.length (List.filter (fun f -> f.Testbed.Faults.repaired_at <> None) history);
+      detection_latency_days;
+      builds_total = Ci.Server.builds_executed env.Env.ci;
+      workload_jobs = (match workload with Some w -> Oar.Workload.submitted w | None -> 0);
+      scheduler_stats = Option.map Scheduler.stats scheduler;
+      resilience = resilience_summary;
+      health = Option.map Health.summary health;
+      audit = Option.map Simkit.Audit.summary auditor;
+      triage = Option.map Triage.summary triage;
+      serve = Option.map Serve.summary serve;
+      mean_active_faults;
+      statuspage = "";
+      statuspage_html = Webstatus.render page;
+    }
+  in
+  let section_text (s : section) =
+    Option.map (fun (title, body) -> "\n== " ^ title ^ " ==\n" ^ body) s.page
+  in
   {
-    cfg;
-    monthly;
-    bugs_filed = filed;
-    bugs_fixed = fixed;
-    bugs_by_category = Bugtracker.by_category tracker;
-    faults_injected = List.length history;
-    faults_detected =
-      List.length (List.filter (fun f -> f.Testbed.Faults.detected_at <> None) history);
-    faults_repaired =
-      List.length (List.filter (fun f -> f.Testbed.Faults.repaired_at <> None) history);
-    detection_latency_days;
-    builds_total = Ci.Server.builds_executed env.Env.ci;
-    workload_jobs = (match workload with Some w -> Oar.Workload.submitted w | None -> 0);
-    scheduler_stats = Option.map Scheduler.stats scheduler;
-    resilience = resilience_summary;
-    health = health_summary;
-    audit = Option.map Simkit.Audit.summary auditor;
-    triage = triage_summary;
-    serve = serve_summary;
-    mean_active_faults;
+    report with
     statuspage =
-      Statuspage.render_overview page ^ "\n== Cluster confidence ==\n"
-      ^ Confidence.render page
-      ^ (match resilience_summary with
-        | Some s ->
-          "\n== Resilience (testing infrastructure) ==\n"
-          ^ Statuspage.render_resilience s
-        | None -> "")
-      ^ (match health_summary with
-        | Some s ->
-          "\n== Node health (self-healing loop) ==\n"
-          ^ Statuspage.render_health page s
-        | None -> "")
-      ^ (match triage_summary with
-        | Some s ->
-          "\n== Triage (failure-signature pipeline) ==\n"
-          ^ Triage.render s
-        | None -> "")
-      ^ (match serve_summary with
-        | Some s ->
-          "\n== Serving (status-page service) ==\n" ^ Serve.render s
-        | None -> "");
-    statuspage_html = Webstatus.render page;
+      String.concat ""
+        (Statuspage.render_overview page
+        :: "\n== Cluster confidence ==\n"
+        :: Confidence.render page
+        :: List.filter_map section_text (sections report));
   }
 
 let run cfg =
@@ -491,36 +521,9 @@ let pp_report ppf report =
     report.cfg.months report.builds_total report.bugs_filed report.bugs_fixed;
   Format.fprintf ppf "faults: %d injected, %d detected, %d repaired@."
     report.faults_injected report.faults_detected report.faults_repaired;
-  (match report.resilience with
-   | Some r ->
-     Format.fprintf ppf
-       "resilience: %d watchdog aborts, %d breaker trips, %d CI outages, %d \
-        builds dropped@."
-       r.Resilience.watchdog_aborts r.Resilience.breaker_trips
-       r.Resilience.ci_outages r.Resilience.dropped_builds
-   | None -> ());
-  (match report.health with
-   | Some h ->
-     Format.fprintf ppf
-       "health: %d quarantined, %d released, %d retired, mean %.1f h to release@."
-       h.Health.quarantined h.Health.released h.Health.retired
-       h.Health.mean_hours_to_release
-   | None -> ());
-  (match report.triage with
-   | Some s ->
-     Format.fprintf ppf
-       "triage: %d bundles, %d bugs, dedup x%.1f, %d reopens, %d flapping@."
-       s.Triage.bundles s.Triage.filed s.Triage.dedup_ratio s.Triage.reopens
-       s.Triage.flapping
-   | None -> ());
-  (match report.serve with
-   | Some s ->
-     Format.fprintf ppf
-       "serving: %d reads (%d shed), %d renders, %d crashes, p99 staleness \
-        %.1f s@."
-       s.Serve.reads s.Serve.shed s.Serve.renders s.Serve.crashes
-       s.Serve.staleness_p99
-   | None -> ());
+  List.iter
+    (fun (s : section) -> Option.iter (Format.fprintf ppf "%s@.") s.line)
+    (sections report);
   List.iter
     (fun m ->
       Format.fprintf ppf

@@ -106,6 +106,26 @@ type report = {
   statuspage_html : string;  (** same views as a standalone HTML page *)
 }
 
+(** What one attached opt-in subsystem contributes to the report's three
+    renderings. *)
+type section = {
+  key : string;  (** member name in {!Report.to_json} *)
+  json : Simkit.Json.t;  (** that member's value *)
+  page : (string * string) option;
+      (** status-page title and body, appended after the cluster
+          confidence table *)
+  line : string option;  (** one-line summary printed by {!pp_report} *)
+}
+
+val sections : report -> section list
+(** The one list of opt-in subsystems: resilience, health, audit, triage
+    and serve, in that order, each present iff its summary is [Some _].
+    {!Report.to_json}, the [statuspage] text and {!pp_report} are folds
+    over it.  The list is rebuilt from the report's typed fields on each
+    call, so a caller that edits a summary (say [audit]) and serialises
+    again sees its edit.  Attaching a new subsystem means adding its
+    report field and one entry here. *)
+
 type sim
 (** A campaign wired onto its own engine arena (environment, scheduler,
     operator loop, fault processes, monthly snapshots) but not driven

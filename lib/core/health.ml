@@ -2,9 +2,6 @@ type config = {
   suspect_threshold : float;
   quarantine_threshold : float;
   decay_half_life : float;
-  blame_failure : float;
-  blame_unstable : float;
-  down_blame : float;
   sweep_period : float;
   triage_delay : float;
   max_repair_attempts : int;
@@ -15,6 +12,9 @@ type config = {
 let hour = 3600.0
 let release_threshold = 0.5
 let credit_success = 0.5
+let blame_failure = 1.0
+let blame_unstable = 0.3
+let down_blame = 1.0
 let healthy_floor = 0.5
 
 let default_mttr_of_kind = function
@@ -28,9 +28,6 @@ let default_config =
     suspect_threshold = 2.0;
     quarantine_threshold = 3.0;
     decay_half_life = Simkit.Calendar.day;
-    blame_failure = 1.0;
-    blame_unstable = 0.3;
-    down_blame = 1.0;
     sweep_period = 1800.0;
     triage_delay = 1.0 *. hour;
     max_repair_attempts = 3;
@@ -317,9 +314,9 @@ let on_build_complete t build =
   let blame_amount =
     match build.Ci.Build.result with
     | Some Ci.Build.Success -> None
-    | Some Ci.Build.Unstable -> Some t.cfg.blame_unstable
+    | Some Ci.Build.Unstable -> Some blame_unstable
     | Some (Ci.Build.Failure | Ci.Build.Aborted | Ci.Build.Not_built) | None ->
-      Some t.cfg.blame_failure
+      Some blame_failure
   in
   List.iter
     (fun host ->
@@ -347,7 +344,7 @@ let sweep t =
   Array.iter
     (fun node ->
       if node.Testbed.Node.state = Testbed.Node.Down && in_circulation node then
-        blame t node t.cfg.down_blame ~reason:"node is down"
+        blame t node down_blame ~reason:"node is down"
       else if node.Testbed.Node.health = Testbed.Node.Suspected then
         (* Pure decay can release a suspect even with no new builds. *)
         reconsider t node ~reason:"sweep")
@@ -458,3 +455,39 @@ let summary_to_json (s : summary) =
       ("by_site", Obj (List.map (fun (site, n) -> (site, Int n)) s.by_site));
       ("mean_hours_to_release", Float s.mean_hours_to_release);
       ("alerts_fired", Int s.alerts_fired) ]
+
+let render ~months (s : summary) =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf
+    (Simkit.Table.render
+       ~header:[ "health counter"; "value" ]
+       [ [ "suspected (cumulative)"; string_of_int s.suspected ];
+         [ "quarantined (cumulative)"; string_of_int s.quarantined ];
+         [ "repair attempts"; string_of_int s.repair_attempts ];
+         [ "reverify failures"; string_of_int s.reverify_failures ];
+         [ "released"; string_of_int s.released ];
+         [ "retired"; string_of_int s.retired ];
+         [ "out of service now"; string_of_int s.out_of_service_now ];
+         [ "in quarantine pipeline now"; string_of_int s.in_quarantine_now ];
+         [ "mean hours to release"; Simkit.Table.fmt_float s.mean_hours_to_release ];
+         [ "alerts fired"; string_of_int s.alerts_fired ] ]);
+  if s.by_site <> [] then begin
+    Buffer.add_string buf "\n-- Quarantine entries per site --\n";
+    Buffer.add_string buf
+      (Simkit.Table.render
+         ~header:[ "site"; "quarantines" ]
+         (List.map (fun (site, n) -> [ site; string_of_int n ]) s.by_site))
+  end;
+  Buffer.add_string buf "\n-- Success ratio over time (self-healing loop on) --\n";
+  Buffer.add_string buf
+    (Simkit.Table.render
+       ~header:[ "month"; "builds"; "success" ]
+       (List.map
+          (fun (month, builds, ratio) ->
+            [ string_of_int month; string_of_int builds; Statuspage.fmt_ratio ratio ])
+          months));
+  Buffer.contents buf
+
+let summary_line (s : summary) =
+  Printf.sprintf "health: %d quarantined, %d released, %d retired, mean %.1f h to release"
+    s.quarantined s.released s.retired s.mean_hours_to_release

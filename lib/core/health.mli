@@ -35,10 +35,6 @@ type config = {
       (** score at which the node is quarantined and the repair pipeline
           starts *)
   decay_half_life : float;  (** seconds for a suspicion score to halve *)
-  blame_failure : float;  (** score added per failed build touching the node *)
-  blame_unstable : float;  (** score added per unstable build *)
-  down_blame : float;
-      (** score added per sweep while the node is physically [Down] *)
   sweep_period : float;  (** seconds between background sweeps *)
   triage_delay : float;
       (** seconds a quarantined node waits before an operator picks it up *)
@@ -55,9 +51,10 @@ val default_config : config
     at 2.0), one-day half-life, 30-minute sweeps, 1-hour triage, 3 repair
     attempts; MTTR: Erlang-2 (mean 8 h) for site outages, exponential
     4 h for PDU failures, 2 h for partitions, 6 h otherwise.  Fixed, not
-    configurable: each successful build subtracts 0.5 from the score of
-    every node it touched, and every site pages when its healthy
-    fraction drops below 0.5. *)
+    configurable: each failed build adds 1.0 to the score of every node
+    it touched, each unstable one 0.3 and each successful one subtracts
+    0.5; a sweep adds 1.0 to every physically [Down] node; and every site
+    pages when its healthy fraction drops below 0.5. *)
 
 val release_threshold : float
 (** 0.5: a [Suspected] node whose decayed score falls back below this
@@ -129,3 +126,13 @@ val events : t -> transition list
 
 val summary : t -> summary
 val summary_to_json : summary -> Simkit.Json.t
+
+val render : months:(int * int * float) list -> summary -> string
+(** The campaign status page's self-healing section: the loop counters,
+    cumulative quarantine entries per site, and the success ratio over
+    time (the paper's 85% => 93% trajectory with the loop keeping broken
+    nodes out of the pool).  [months] holds (month, builds, success
+    ratio) for each month that completed a build. *)
+
+val summary_line : summary -> string
+(** One line for {!Campaign.pp_report}. *)

@@ -192,14 +192,6 @@ let check_policy ~path (p : Scheduler.policy) =
     (if p.poll_period <= 0.0 then
        [ e "poll_period must be positive (got %g)" p.poll_period ]
      else [])
-    @ (if p.use_backoff && p.backoff_initial <= 0.0 then
-         [ e "backoff_initial must be positive when use_backoff is set (got %g)"
-             p.backoff_initial ]
-       else [])
-    @ (if p.use_backoff && p.backoff_max < p.backoff_initial then
-         [ e "backoff_max (%g) is below backoff_initial (%g)" p.backoff_max
-             p.backoff_initial ]
-       else [])
     @
     if p.avoid_peak_hours && p.poll_period >= weekday_offpeak then
       [ e
@@ -261,16 +253,6 @@ let check_health ~path (h : Health.config) =
               quarantine (%g)"
              Health.release_threshold h.suspect_threshold h.quarantine_threshold ]
        else [])
-    @
-    if
-      h.blame_failure <= 0.0 && h.blame_unstable <= 0.0 && h.down_blame <= 0.0
-    then
-      [ e
-          "quarantine threshold is unreachable: every blame source \
-           (blame_failure %g, blame_unstable %g, down_blame %g) is \
-           non-positive, so no node can ever accumulate suspicion"
-          h.blame_failure h.blame_unstable h.down_blame ]
-    else []
   in
   let timing =
     (if h.decay_half_life <= 0.0 then
@@ -452,13 +434,6 @@ let check_serve ~path (sc : Serve.config) =
     @ (if sc.Serve.readers_per_s < 0.0 then
          [ e "readers_per_s must be non-negative (got %g)"
              sc.Serve.readers_per_s ]
-       else [])
-    @ (if
-         sc.Serve.conditional_fraction < 0.0
-         || sc.Serve.conditional_fraction > 1.0
-       then
-         [ e "conditional_fraction must lie in [0, 1] (got %g)"
-             sc.Serve.conditional_fraction ]
        else [])
     @ (if sc.Serve.flash_every < 0.0 then
          [ e "flash_every must be non-negative (got %g)" sc.Serve.flash_every ]

@@ -22,12 +22,12 @@
     - [L006] (error) OAR filter syntax error
     - [L007] (warning) unknown OAR property name in a filter
     - [L008] (error) scheduler timing/calendar misconfiguration
-      (non-positive poll period, inverted backoff bounds, peak-hours
-      avoidance that can starve for days)
+      (non-positive poll period, peak-hours avoidance that can starve
+      for days)
     - [L009] (error) resilience knobs out of range (retry budget < 1,
       jitter outside [0, 1], breaker threshold/cool-down <= 0)
     - [L010] (error) health configuration invalid (threshold ordering,
-      non-positive MTTR means, unreachable quarantine score)
+      non-positive MTTR means)
     - [L011] (error/warning) campaign shape: non-positive months or
       executors, negative fault schedules, beyond-horizon faults
     - [L012] (warning) staging and anti-affinity bottlenecks (families
@@ -40,9 +40,9 @@
     - [L014] (error/warning) serving layer misconfiguration
       (non-positive admission rate or sub-token burst, negative queue
       bound, degradation thresholds out of order — the ladder must run
-      Fresh < Stale < Static_fallback — negative hysteresis or rebuild
-      window, workload knobs out of range) and unreachable degradation
-      rungs (stale_queue beyond queue_limit)
+      Fresh < Stale < Static_fallback — negative hysteresis, workload
+      knobs out of range: tick period, reader rate, flash-crowd timing)
+      and unreachable degradation rungs (stale_queue beyond queue_limit)
     - [L015] (error/warning) federation misconfiguration (more shards
       than testbeds, lookahead below the smallest cross-testbed latency
       — which would break the conservative-synchronization contract —

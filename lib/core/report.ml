@@ -4,9 +4,7 @@ let monthly_to_json (m : Campaign.monthly) =
     [ ("month", Int m.Campaign.month);
       ("builds", Int m.Campaign.builds);
       ("successful", Int m.Campaign.successful);
-      ( "success_ratio",
-        if Float.is_nan m.Campaign.success_ratio then Null
-        else Float m.Campaign.success_ratio );
+      ("success_ratio", Float m.Campaign.success_ratio);
       ("bugs_filed_cum", Int m.Campaign.bugs_filed_cum);
       ("bugs_fixed_cum", Int m.Campaign.bugs_fixed_cum);
       ("active_faults", Int m.Campaign.active_faults);
@@ -30,34 +28,6 @@ let scheduler_to_json ?(health = false) (s : Scheduler.stats) =
 
 let to_json (report : Campaign.report) =
   let open Simkit.Json in
-  (* The resilience member only exists when the campaign ran with the
-     resilience layer attached, so reports from historical configurations
-     stay byte-identical. *)
-  let resilience =
-    match report.Campaign.resilience with
-    | Some s -> [ ("resilience", Resilience.summary_to_json s) ]
-    | None -> []
-  in
-  let health =
-    match report.Campaign.health with
-    | Some s -> [ ("health", Health.summary_to_json s) ]
-    | None -> []
-  in
-  let triage =
-    match report.Campaign.triage with
-    | Some s -> [ ("triage", Triage.summary_to_json s) ]
-    | None -> []
-  in
-  let audit =
-    match report.Campaign.audit with
-    | Some s -> [ ("audit", Simkit.Audit.summary_to_json s) ]
-    | None -> []
-  in
-  let serve =
-    match report.Campaign.serve with
-    | Some s -> [ ("serve", Serve.summary_to_json s) ]
-    | None -> []
-  in
   Obj
     ([ ("schema", String "g5ktest/campaign-report/1");
       ("months", Int report.Campaign.cfg.Campaign.months);
@@ -91,7 +61,11 @@ let to_json (report : Campaign.report) =
         | Some s ->
           scheduler_to_json ~health:(report.Campaign.health <> None) s
         | None -> Null ) ]
-    @ resilience @ health @ audit @ triage @ serve)
+    (* Opt-in subsystems add a member only when attached, so reports from
+       historical configurations stay byte-identical. *)
+    @ List.map
+        (fun (s : Campaign.section) -> (s.key, s.json))
+        (Campaign.sections report))
 
 let to_string ?(indent = 2) report = Simkit.Json.to_string ~indent (to_json report)
 

@@ -313,3 +313,26 @@ let summary_to_json s =
       ("queue_drops", Int s.queue_drops);
       ("dropped_builds", Int s.dropped_builds);
       ("deferred_triggers", Int s.deferred_triggers) ]
+
+let render s =
+  let budget =
+    if s.retry_budget = max_int then "unlimited" else string_of_int s.retry_budget
+  in
+  Simkit.Table.render
+    ~header:[ "resilience counter"; "value" ]
+    [ [ "watchdog aborts"; string_of_int s.watchdog_aborts ];
+      [ "breaker trips"; string_of_int s.breaker_trips ];
+      [ "skipped (breaker open)"; string_of_int s.skipped_breaker_open ];
+      [ "retries spent"; string_of_int s.retries_spent ];
+      [ "retry budget"; budget ];
+      [ "retries exhausted"; string_of_int s.retries_exhausted ];
+      [ "CI outages weathered"; string_of_int s.ci_outages ];
+      [ "queue drops"; string_of_int s.queue_drops ];
+      [ "builds dropped"; string_of_int s.dropped_builds ];
+      [ "deferred triggers"; string_of_int s.deferred_triggers ] ]
+
+let summary_line s =
+  Printf.sprintf
+    "resilience: %d watchdog aborts, %d breaker trips, %d CI outages, %d builds \
+     dropped"
+    s.watchdog_aborts s.breaker_trips s.ci_outages s.dropped_builds

@@ -181,3 +181,11 @@ module Infra : sig
 end
 
 val summary_to_json : summary -> Simkit.Json.t
+
+val render : summary -> string
+(** ASCII table of the counters (watchdog aborts, breaker trips,
+    outage/queue-loss events weathered): the campaign status page's
+    resilience section. *)
+
+val summary_line : summary -> string
+(** One line for {!Campaign.pp_report}. *)

@@ -1,7 +1,5 @@
 type policy = {
   poll_period : float;
-  backoff_initial : float;
-  backoff_max : float;
   avoid_peak_hours : bool;
   one_job_per_site : bool;
   precheck_resources : bool;
@@ -14,8 +12,6 @@ type policy = {
 let smart_policy =
   {
     poll_period = 600.0;
-    backoff_initial = 3600.0;
-    backoff_max = 4.0 *. Simkit.Calendar.day;
     avoid_peak_hours = true;
     one_job_per_site = true;
     precheck_resources = true;
@@ -28,8 +24,6 @@ let smart_policy =
 let naive_policy =
   {
     poll_period = 600.0;
-    backoff_initial = 3600.0;
-    backoff_max = 4.0 *. Simkit.Calendar.day;
     avoid_peak_hours = false;
     one_job_per_site = false;
     precheck_resources = false;
@@ -310,9 +304,7 @@ let enable_family t family =
             Resilience.Retry.create
               ~seed:(Int64.of_int (Hashtbl.hash config.Testdef.config_id))
               {
-                Resilience.Retry.initial = t.pol.backoff_initial;
-                max_delay = t.pol.backoff_max;
-                multiplier = 2.0;
+                Resilience.Retry.default with
                 jitter = t.pol.backoff_jitter;
                 budget = t.pol.retry_budget;
               }

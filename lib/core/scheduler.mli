@@ -9,7 +9,8 @@
     - resource availability: trigger only when the needed nodes are free
       right now (the build's reservation is immediate-or-cancel);
     - retry with exponential backoff after an Unstable build, routed
-      through {!Resilience.Retry} (optional decorrelated jitter and a
+      through {!Resilience.Retry} (the fixed {!Resilience.Retry.default}
+      1 h first delay and 4-day cap, optional decorrelated jitter and a
       per-configuration retry budget);
     - per-family circuit breakers ({!Resilience.Breaker}): a family
       whose builds keep failing is skipped until its breaker cools down;
@@ -21,8 +22,6 @@
 
 type policy = {
   poll_period : float;
-  backoff_initial : float;
-  backoff_max : float;
   avoid_peak_hours : bool;
   one_job_per_site : bool;
   precheck_resources : bool;

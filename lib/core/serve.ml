@@ -16,7 +16,6 @@ type config = {
   hysteresis_s : float;
   tick_period : float;
   readers_per_s : float;
-  conditional_fraction : float;
   flash_every : float;
   flash_duration : float;
   flash_multiplier : float;
@@ -33,7 +32,6 @@ let default_config =
     hysteresis_s = 120.0;
     tick_period = 30.0;
     readers_per_s = 2.0;
-    conditional_fraction = 0.6;
     flash_every = Simkit.Calendar.day;
     flash_duration = 600.0;
     flash_multiplier = 50.0;
@@ -67,6 +65,10 @@ type summary = {
 }
 
 let rebuild_s = 300.0
+
+(* Share of admitted reads carrying an [If-None-Match] with the ETag of
+   the previously served page. *)
+let conditional_fraction = 0.6
 
 let degraded = Monitoring.Alerts.Serving_degraded "statuspage"
 
@@ -289,7 +291,7 @@ let tick t eng =
   if admitted > 0 then begin
     let held_etag = t.cached_etag in
     let conditional_n =
-      int_of_float (float_of_int admitted *. t.cfg.conditional_fraction)
+      int_of_float (float_of_int admitted *. conditional_fraction)
     in
     let degraded_staleness =
       match t.current_mode with
@@ -459,6 +461,10 @@ let render (s : summary) =
       [ "staleness p99 (s)"; Simkit.Table.fmt_float s.staleness_p99 ];
       [ "staleness max (s)"; Simkit.Table.fmt_float s.staleness_max ] ]
 
+let summary_line (s : summary) =
+  Printf.sprintf "serving: %d reads (%d shed), %d renders, %d crashes, p99 staleness %.1f s"
+    s.reads s.shed s.renders s.crashes s.staleness_p99
+
 let summary_to_json (s : summary) =
   let open Simkit.Json in
   Obj
@@ -479,5 +485,4 @@ let summary_to_json (s : summary) =
       ("staleness_p50", Float s.staleness_p50);
       ("staleness_p99", Float s.staleness_p99);
       ("staleness_max", Float s.staleness_max);
-      ("hit_ratio", if Float.is_nan s.hit_ratio then Null else Float s.hit_ratio)
-    ]
+      ("hit_ratio", Float s.hit_ratio) ]

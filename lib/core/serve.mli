@@ -49,9 +49,6 @@ type config = {
       (** seconds of calm required before climbing back up the ladder *)
   tick_period : float;  (** service loop period, seconds *)
   readers_per_s : float;  (** offered load (mean Poisson arrival rate) *)
-  conditional_fraction : float;
-      (** fraction of admitted reads carrying an [If-None-Match] with
-          the ETag of the previously served page *)
   flash_every : float;
       (** period of deterministic flash crowds ([0.] disables them) *)
   flash_duration : float;  (** seconds each flash crowd lasts *)
@@ -64,7 +61,9 @@ type config = {
 val default_config : config
 (** Modest defaults: 2 readers/s against a 20 reads/s admission rate,
     with a daily 50x flash crowd that overwhelms admission and exercises
-    the full shed/degrade/recover ladder. *)
+    the full shed/degrade/recover ladder.  Fixed, not configurable: 60%
+    of admitted reads are conditional (they carry the ETag of the
+    previously served page). *)
 
 (** One admitted read's outcome ([Shed] when admission refused it). *)
 type response =
@@ -124,5 +123,8 @@ val set_clock : t -> (unit -> float) -> unit
 
 val render : summary -> string
 (** ASCII table for the campaign status page's serving section. *)
+
+val summary_line : summary -> string
+(** One line for {!Campaign.pp_report}. *)
 
 val summary_to_json : summary -> Simkit.Json.t

@@ -221,58 +221,6 @@ let monthly_success t =
          in
          (month, c.completed, c.successful, ratio))
 
-let render_resilience (s : Resilience.summary) =
-  let budget =
-    if s.Resilience.retry_budget = max_int then "unlimited"
-    else string_of_int s.Resilience.retry_budget
-  in
-  Simkit.Table.render
-    ~header:[ "resilience counter"; "value" ]
-    [ [ "watchdog aborts"; string_of_int s.Resilience.watchdog_aborts ];
-      [ "breaker trips"; string_of_int s.Resilience.breaker_trips ];
-      [ "skipped (breaker open)"; string_of_int s.Resilience.skipped_breaker_open ];
-      [ "retries spent"; string_of_int s.Resilience.retries_spent ];
-      [ "retry budget"; budget ];
-      [ "retries exhausted"; string_of_int s.Resilience.retries_exhausted ];
-      [ "CI outages weathered"; string_of_int s.Resilience.ci_outages ];
-      [ "queue drops"; string_of_int s.Resilience.queue_drops ];
-      [ "builds dropped"; string_of_int s.Resilience.dropped_builds ];
-      [ "deferred triggers"; string_of_int s.Resilience.deferred_triggers ] ]
-
-let render_health t (s : Health.summary) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Simkit.Table.render
-       ~header:[ "health counter"; "value" ]
-       [ [ "suspected (cumulative)"; string_of_int s.Health.suspected ];
-         [ "quarantined (cumulative)"; string_of_int s.Health.quarantined ];
-         [ "repair attempts"; string_of_int s.Health.repair_attempts ];
-         [ "reverify failures"; string_of_int s.Health.reverify_failures ];
-         [ "released"; string_of_int s.Health.released ];
-         [ "retired"; string_of_int s.Health.retired ];
-         [ "out of service now"; string_of_int s.Health.out_of_service_now ];
-         [ "in quarantine pipeline now"; string_of_int s.Health.in_quarantine_now ];
-         [ "mean hours to release";
-           Simkit.Table.fmt_float s.Health.mean_hours_to_release ];
-         [ "alerts fired"; string_of_int s.Health.alerts_fired ] ]);
-  (match s.Health.by_site with
-   | [] -> ()
-   | by_site ->
-     Buffer.add_string buf "\n-- Quarantine entries per site --\n";
-     Buffer.add_string buf
-       (Simkit.Table.render
-          ~header:[ "site"; "quarantines" ]
-          (List.map (fun (site, n) -> [ site; string_of_int n ]) by_site)));
-  Buffer.add_string buf "\n-- Success ratio over time (self-healing loop on) --\n";
-  Buffer.add_string buf
-    (Simkit.Table.render
-       ~header:[ "month"; "builds"; "success" ]
-       (List.map
-          (fun (month, completed, _, ratio) ->
-            [ string_of_int month; string_of_int completed; fmt_ratio ratio ])
-          (monthly_success t)));
-  Buffer.contents buf
-
 let render_overview t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "== Status: latest result per test and site ==\n";

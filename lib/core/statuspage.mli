@@ -67,15 +67,3 @@ val monthly_success : t -> (int * int * int * float) list
 val render_overview : t -> string
 (** The whole page: per-test matrix, per-family summary, job weather
     (Jenkins-style stability icons) and history. *)
-
-val render_resilience : Resilience.summary -> string
-(** ASCII table of the resilience counters (watchdog aborts, breaker
-    trips, outage/queue-loss events weathered), appended to the page by
-    campaigns that run with the resilience layer attached. *)
-
-val render_health : t -> Health.summary -> string
-(** Self-healing loop section: the loop counters, cumulative quarantine
-    entries per site, and the success-ratio-over-time series (the
-    paper's 85% => 93% trajectory with the loop keeping broken nodes
-    out of the pool).  Appended to the page by campaigns that run with
-    a health supervisor attached. *)

@@ -458,3 +458,7 @@ let render (s : summary) =
       s.mttr_days_by_category
   end;
   Buffer.contents buf
+
+let summary_line (s : summary) =
+  Printf.sprintf "triage: %d bundles, %d bugs, dedup x%.1f, %d reopens, %d flapping"
+    s.bundles s.filed s.dedup_ratio s.reopens s.flapping

@@ -133,3 +133,6 @@ val summary_to_json : summary -> Simkit.Json.t
 
 val render : summary -> string
 (** Plain-text triage section for the status page. *)
+
+val summary_line : summary -> string
+(** One line for {!Campaign.pp_report}. *)

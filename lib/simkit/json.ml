@@ -45,6 +45,7 @@ let to_string ?(indent = 0) t =
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Int i -> Buffer.add_string buf (string_of_int i)
+    | Float f when not (Float.is_finite f) -> Buffer.add_string buf "null"
     | Float f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)

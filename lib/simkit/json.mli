@@ -21,7 +21,9 @@ val equal : t -> t -> bool
     API emits members in canonical order). *)
 
 val to_string : ?indent:int -> t -> string
-(** Serialise; [indent > 0] pretty-prints. *)
+(** Serialise; [indent > 0] pretty-prints.  JSON has no literal for a
+    non-finite number, so a [Float] that is nan or infinite is written
+    as [null] (read back as [Null]). *)
 
 val of_string : string -> (t, string) result
 (** Parse.  Accepts the JSON subset produced by [to_string] (no unicode

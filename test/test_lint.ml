@@ -158,17 +158,6 @@ let test_l009_bad_breaker () =
   in
   check_only_code "L009" diags
 
-let test_l010_unreachable_quarantine () =
-  let diags =
-    Framework.Lint.check_health ~path:"h"
-      { Framework.Health.default_config with
-        Framework.Health.blame_failure = 0.0;
-        blame_unstable = 0.0;
-        down_blame = 0.0;
-      }
-  in
-  check_only_code "L010" diags
-
 let test_l010_bad_mttr () =
   let diags =
     Framework.Lint.check_health ~path:"h"
@@ -251,7 +240,7 @@ let test_l014_via_campaign_config () =
         Framework.Campaign.serve =
           Some
             { Framework.Serve.default_config with
-              Framework.Serve.conditional_fraction = 1.5;
+              Framework.Serve.readers_per_s = -1.0;
             };
       }
   in
@@ -688,7 +677,7 @@ let prop_serve_mutations =
         match defect with
         | 0 -> { sc with Framework.Serve.rate_limit = -.magnitude }
         | 1 -> { sc with Framework.Serve.tick_period = -.magnitude }
-        | 2 -> { sc with Framework.Serve.conditional_fraction = 1.0 +. magnitude }
+        | 2 -> { sc with Framework.Serve.readers_per_s = -.magnitude }
         | 3 -> { sc with Framework.Serve.hysteresis_s = -.magnitude }
         | _ ->
           { sc with
@@ -915,8 +904,6 @@ let () =
           Alcotest.test_case "L009 zero retry budget" `Quick
             test_l009_zero_retry_budget;
           Alcotest.test_case "L009 bad breaker" `Quick test_l009_bad_breaker;
-          Alcotest.test_case "L010 unreachable quarantine" `Quick
-            test_l010_unreachable_quarantine;
           Alcotest.test_case "L010 bad mttr" `Quick test_l010_bad_mttr;
           Alcotest.test_case "L011 zero months" `Quick test_l011_zero_months;
           Alcotest.test_case "L011 beyond-horizon fault" `Quick

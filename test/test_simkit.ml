@@ -828,6 +828,31 @@ let test_json_escapes () =
   | Ok parsed -> checkb "escape roundtrip" true (Simkit.Json.equal parsed v)
   | Error e -> Alcotest.fail e
 
+(* The parser has no literal for nan or infinity, so the writer emits
+   null for them: every document [to_string] writes must parse back. *)
+let test_json_non_finite_floats () =
+  let doc =
+    Simkit.Json.Obj
+      [ ("nan", Simkit.Json.Float nan);
+        ("inf", Simkit.Json.Float infinity);
+        ("neg_inf", Simkit.Json.Float neg_infinity);
+        ("finite", Simkit.Json.Float 0.5) ]
+  in
+  let expected =
+    Simkit.Json.Obj
+      [ ("nan", Simkit.Json.Null);
+        ("inf", Simkit.Json.Null);
+        ("neg_inf", Simkit.Json.Null);
+        ("finite", Simkit.Json.Float 0.5) ]
+  in
+  List.iter
+    (fun indent ->
+      match Simkit.Json.of_string (Simkit.Json.to_string ~indent doc) with
+      | Ok parsed -> checkb "non-finite floats read back as null" true
+                       (Simkit.Json.equal parsed expected)
+      | Error e -> Alcotest.fail e)
+    [ 0; 2 ]
+
 let test_json_parse_errors () =
   List.iter
     (fun bad ->
@@ -1026,6 +1051,7 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "pretty roundtrip" `Quick test_json_pretty_roundtrip;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
+          Alcotest.test_case "non-finite floats" `Quick test_json_non_finite_floats;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "of_string_exn raises Invalid_argument" `Quick
             test_json_of_string_exn_invalid_arg;

@@ -319,6 +319,43 @@ let test_status_page_pinned () =
   Alcotest.(check string) "statuspage" "5af4a130b129365b3f1b73f8ea76b073"
     (md5 report.Framework.Campaign.statuspage)
 
+(* Every opt-in subsystem attached (the perfbench [attached_config] at
+   seed offset 0), so each one's JSON member, page section and summary
+   line is rendered and pinned; the default pin above renders none. *)
+let test_attached_sections_pinned () =
+  let day = Simkit.Calendar.day and hour = Simkit.Calendar.hour in
+  let report =
+    Framework.Campaign.run
+      { Framework.Campaign.default_config with
+        Framework.Campaign.months = 1;
+        resilience = true;
+        infra_faults =
+          [ (5.0 *. day, Testbed.Faults.Ci_outage);
+            (12.0 *. day, Testbed.Faults.Serve_crash);
+            (15.0 *. day, Testbed.Faults.Build_hang);
+            (24.0 *. day, Testbed.Faults.Queue_loss) ];
+        infra_fault_duration = 6.0 *. hour;
+        health = Some Framework.Health.default_config;
+        health_faults =
+          [ (10.0 *. day, Testbed.Faults.Site_outage, Testbed.Faults.Site "nancy");
+            ( 20.0 *. day,
+              Testbed.Faults.Pdu_failure,
+              Testbed.Faults.Cluster "graphene" ) ];
+        triage = Some Framework.Triage.default_config;
+        serve = Some Framework.Serve.default_config;
+        audit = true;
+      }
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "Report.to_json" "73c96cd98f7ab708a38cb020d8f78379"
+    (md5 (Simkit.Json.to_string (Framework.Report.to_json report)));
+  Alcotest.(check string) "statuspage" "59c34a8fb1b663e47bff8fcd8f1eaa33"
+    (md5 report.Framework.Campaign.statuspage);
+  Alcotest.(check string) "statuspage_html" "8eb29ae16083ac4a85884e6115a17472"
+    (md5 report.Framework.Campaign.statuspage_html);
+  Alcotest.(check string) "pp_report" "0e7c04a0c0815c2b20f1939893276699"
+    (md5 (Format.asprintf "%a" Framework.Campaign.pp_report report))
+
 (* ---- campaign regression integration -------------------------------------------- *)
 
 let test_campaign_with_regression_jobs () =
@@ -369,5 +406,7 @@ let () =
       ( "campaign",
         [ Alcotest.test_case "regression jobs nightly" `Slow
             test_campaign_with_regression_jobs;
-          Alcotest.test_case "status page bytes pinned" `Slow test_status_page_pinned ] );
+          Alcotest.test_case "status page bytes pinned" `Slow test_status_page_pinned;
+          Alcotest.test_case "attached sections pinned" `Slow
+            test_attached_sections_pinned ] );
     ]
