@@ -4,11 +4,18 @@ type trigger_outcome = Queued of int list | Not_found | Disabled | Denied
 
 type pending = { job : Jobdef.t; build : Build.t }
 
+(* One job's retained builds.  [fresh_number] numbers a job's builds
+   1, 2, 3... and each is recorded once, so the retained builds are
+   numbers [newest - len + 1 .. newest], build [n] sits in slot
+   [n mod capacity], and recording overwrites the oldest in place.
+   Slots beyond [len] hold filler builds that are never read. *)
+type ring = { mutable slots : Build.t array; mutable newest : int; mutable len : int }
+
 type t = {
   engine : Simkit.Engine.t;
   jobs : (string, Jobdef.t) Hashtbl.t;
   mutable queue : pending list;  (* FIFO: head = next to run *)
-  history : (string, Build.t list) Hashtbl.t;  (* newest first *)
+  history : (string, ring) Hashtbl.t;
   permissions : (string, permission) Hashtbl.t;
   n_executors : int;
   mutable busy : int;
@@ -67,18 +74,38 @@ let disable t name =
 let grant t ~user permission = Hashtbl.replace t.permissions user permission
 let permission_of t ~user = Hashtbl.find_opt t.permissions user
 
-let builds t name = Option.value ~default:[] (Hashtbl.find_opt t.history name)
+let slot r number = r.slots.(number mod Array.length r.slots)
+
+(* Newest retained build satisfying [p], searched newest first. *)
+let find_newest t name p =
+  match Hashtbl.find_opt t.history name with
+  | None -> None
+  | Some r ->
+    let rec scan number =
+      if number <= r.newest - r.len then None
+      else
+        let b = slot r number in
+        if p b then Some b else scan (number - 1)
+    in
+    scan r.newest
+
+let builds t name =
+  match Hashtbl.find_opt t.history name with
+  | None -> []
+  | Some r ->
+    let rec collect acc number =
+      if number > r.newest then acc else collect (slot r number :: acc) (number + 1)
+    in
+    collect [] (r.newest - r.len + 1)
 
 let build t name number =
-  List.find_opt (fun b -> b.Build.number = number) (builds t name)
+  match Hashtbl.find_opt t.history name with
+  | Some r when number <= r.newest && number > r.newest - r.len -> Some (slot r number)
+  | _ -> None
 
-let last_build t name = match builds t name with [] -> None | b :: _ -> Some b
-
-let last_completed t name =
-  List.find_opt Build.is_finished (builds t name)
-
-let last_of_axes t name ~axes =
-  List.find_opt (fun b -> b.Build.axes = axes) (builds t name)
+let last_build t name = find_newest t name (fun _ -> true)
+let last_completed t name = find_newest t name Build.is_finished
+let last_of_axes t name ~axes = find_newest t name (fun b -> b.Build.axes = axes)
 
 let queue_length t = List.length t.queue
 let busy_executors t = t.busy
@@ -93,11 +120,32 @@ let fresh_number t name =
 let record t build =
   let job_name = build.Build.job_name in
   let retention =
-    match find_job t job_name with Some j -> j.Jobdef.retention | None -> 200
+    max 0 (match find_job t job_name with Some j -> j.Jobdef.retention | None -> 200)
   in
-  let history = build :: builds t job_name in
-  let trimmed = List.filteri (fun i _ -> i < retention) history in
-  Hashtbl.replace t.history job_name trimmed
+  let r =
+    match Hashtbl.find_opt t.history job_name with
+    | Some r -> r
+    | None ->
+      let r = { slots = [||]; newest = build.Build.number - 1; len = 0 } in
+      Hashtbl.replace t.history job_name r;
+      r
+  in
+  if Array.length r.slots <> retention then begin
+    (* First build, or the job was redefined with another retention:
+       re-slot the newest builds that still fit. *)
+    let kept = min r.len retention in
+    let slots = Array.make retention build in
+    for number = r.newest - kept + 1 to r.newest do
+      slots.(number mod retention) <- slot r number
+    done;
+    r.slots <- slots;
+    r.len <- kept
+  end;
+  if retention > 0 then begin
+    r.slots.(build.Build.number mod retention) <- build;
+    r.len <- min (r.len + 1) retention
+  end;
+  r.newest <- build.Build.number
 
 (* ---- executor pool ------------------------------------------------------ *)
 

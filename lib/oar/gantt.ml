@@ -58,9 +58,16 @@ let truncate t ~host ~job ~stop =
   in
   set t host updated
 
+(* Intervals are sorted by start, so the first one starting at or after
+   [stop] ends the scan; allocates nothing. *)
+let rec free_over ~start ~stop = function
+  | [] -> true
+  | i :: rest -> i.start >= stop || (i.stop <= start && free_over ~start ~stop rest)
+
 let is_free t ~host ~start ~stop =
-  let probe = { start; stop; job = -1 } in
-  not (List.exists (overlaps probe) (get t host))
+  match Hashtbl.find t.slots host with
+  | intervals -> free_over ~start ~stop intervals
+  | exception Not_found -> true
 
 let next_free_window t ~host ~after ~duration =
   let intervals = get t host in

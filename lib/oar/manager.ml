@@ -28,9 +28,10 @@ type t = {
   mutable last_prune : float;  (* gantt pruning runs at most hourly *)
   filter_cache : string array Filter_cache.t;
       (* parsed filter -> matching hosts (sorted); properties change
-         rarely (on refresh), so filter evaluation over 894 hosts is
-         memoised, keyed structurally so callers holding a pre-parsed
-         filter never re-render it to a string *)
+         rarely (only refreshes that change a row reset it), so filter
+         evaluation over 894 hosts is memoised, keyed structurally so
+         callers holding a pre-parsed filter never re-render it to a
+         string *)
 }
 
 let engine t = t.instance.Testbed.Instance.engine
@@ -39,9 +40,10 @@ let instance t = t.instance
 let properties t = t.props
 
 let refresh_properties t =
-  Property.refresh_from_refapi t.props
-    (Testbed.Faults.context t.instance.Testbed.Instance.faults);
-  Filter_cache.reset t.filter_cache
+  if
+    Property.refresh_from_refapi t.props
+      (Testbed.Faults.context t.instance.Testbed.Instance.faults)
+  then Filter_cache.reset t.filter_cache
 
 let create instance =
   let t =
@@ -136,6 +138,19 @@ let free_at_least t filter n =
 
 (* ---- placement --------------------------------------------------------- *)
 
+(* The first [needed] of [hosts], in order, that are free over
+   [\[start, start + duration)]. *)
+let first_free t ~start ~duration ~needed hosts =
+  let stop = start +. duration in
+  let rec take acc taken = function
+    | _ when taken >= needed -> Some (List.rev acc)
+    | [] -> None
+    | h :: rest ->
+      if Gantt.is_free t.gantt ~host:h ~start ~stop then take (h :: acc) (taken + 1) rest
+      else take acc taken rest
+  in
+  take [] 0 hosts
+
 (* Earliest time >= after when [n] of [hosts] are simultaneously free for
    [duration]; also returns the chosen hosts. *)
 let place_group t ~after ~duration ~hosts ~count =
@@ -144,52 +159,49 @@ let place_group t ~after ~duration ~hosts ~count =
     match count with `N n -> n | `All -> List.length usable
   in
   if needed = 0 || List.length usable < needed then None
-  else begin
-    let windows =
-      List.map (fun h -> (h, Gantt.next_free_window t.gantt ~host:h ~after ~duration)) usable
-      (* Earliest-available hosts first, so the early-exit scan below
-         finds small placements without touching the whole pool. *)
-      |> List.sort (fun (_, a) (_, b) -> Float.compare a b)
-    in
-    (* Candidate start instants: each host's next window start. *)
-    let candidates =
-      List.sort_uniq Float.compare (after :: List.map snd windows)
-    in
-    let feasible_at start =
-      (* Collect free hosts, stopping as soon as [needed] are found. *)
-      let rec take acc taken = function
-        | [] -> if taken >= needed then Some (List.rev acc) else None
-        | _ when taken >= needed -> Some (List.rev acc)
-        | (h, _) :: rest ->
-          if Gantt.is_free t.gantt ~host:h ~start ~stop:(start +. duration) then
-            take (h :: acc) (taken + 1) rest
-          else take acc taken rest
-      in
-      take [] 0 windows
-    in
-    let rec try_candidates = function
-      | [] -> None
-      | start :: rest -> (
-        match feasible_at start with
-        | Some chosen -> Some (start, chosen)
-        | None -> try_candidates rest)
-    in
-    match try_candidates candidates with
-    | Some placement -> Some placement
+  else
+    (* [after] is the earliest candidate of the window search below, a
+       host's next window starts at [after] exactly when it is free from
+       [after], and the window sort is stable: so that search would take
+       the first [needed] usable hosts, in matching order, free at
+       [after].  Try them before building and sorting the windows. *)
+    match first_free t ~start:after ~duration ~needed usable with
+    | Some chosen -> Some (after, chosen)
     | None ->
-      (* All candidate instants collide with reservations that start
-         later; fall back to the time when everything is drained. *)
-      let horizon =
-        List.fold_left
-          (fun acc (h, _) ->
-            let reservations = Gantt.reservations t.gantt ~host:h in
-            List.fold_left (fun acc (_, stop, _) -> Float.max acc stop) acc reservations)
-          after windows
+      let windows =
+        List.map (fun h -> (h, Gantt.next_free_window t.gantt ~host:h ~after ~duration)) usable
+        (* Earliest-available hosts first, so the early-exit scan below
+           finds small placements without touching the whole pool. *)
+        |> List.sort (fun (_, a) (_, b) -> Float.compare a b)
       in
-      (match feasible_at horizon with
-       | Some chosen -> Some (horizon, chosen)
-       | None -> None)
-  end
+      let by_window = List.map fst windows in
+      (* Candidate start instants: each host's next window start. *)
+      let candidates =
+        List.sort_uniq Float.compare (after :: List.map snd windows)
+      in
+      let feasible_at start = first_free t ~start ~duration ~needed by_window in
+      let rec try_candidates = function
+        | [] -> None
+        | start :: rest -> (
+          match feasible_at start with
+          | Some chosen -> Some (start, chosen)
+          | None -> try_candidates rest)
+      in
+      match try_candidates candidates with
+      | Some placement -> Some placement
+      | None ->
+        (* All candidate instants collide with reservations that start
+           later; fall back to the time when everything is drained. *)
+        let horizon =
+          List.fold_left
+            (fun acc h ->
+              let reservations = Gantt.reservations t.gantt ~host:h in
+              List.fold_left (fun acc (_, stop, _) -> Float.max acc stop) acc reservations)
+            after by_window
+        in
+        (match feasible_at horizon with
+         | Some chosen -> Some (horizon, chosen)
+         | None -> None)
 
 (* Find a common start for all groups of a request (fixpoint search). *)
 let place_request t ~after request =

@@ -26,7 +26,11 @@ val instance : t -> Testbed.Instance.t
 val properties : t -> Property.t
 
 val refresh_properties : t -> unit
-(** Re-derive the property database from the Reference API. *)
+(** Re-derive the property database from the Reference API
+    ({!Property.refresh_from_refapi}).  The memoised filter results
+    behind {!matching_hosts}, {!free_matching_now} and {!free_at_least}
+    are dropped only when the refresh changed a row or the host set; a
+    refresh that changes nothing keeps them. *)
 
 val submit :
   t ->

@@ -1,6 +1,18 @@
-type t = { rows : (string, (string * string) list) Hashtbl.t }
+(* A row is a pure function of the host's Reference API document and its
+   [oar_desync] flag; both are kept so a refresh recomputes only rows
+   whose inputs moved. *)
+type row = {
+  mutable doc : Simkit.Json.t;
+  mutable desync : bool;
+  mutable props : (string * string) list;
+}
 
-let create () = { rows = Hashtbl.create 1024 }
+type t = {
+  rows : (string, row) Hashtbl.t;
+  mutable sorted : string list;  (* row keys, sorted; rebuilt when a host is added *)
+}
+
+let create () = { rows = Hashtbl.create 1024; sorted = [] }
 
 let yes_no b = if b then "YES" else "NO"
 
@@ -34,34 +46,63 @@ let expected_of_doc doc =
   in
   List.sort (fun (a, _) (b, _) -> String.compare a b) props
 
+let desync_prefix = "oar_desync:"
+
+(* Active desync corruption: flip the gpu property. *)
+let row_props doc ~desync =
+  let props = expected_of_doc doc in
+  if desync then
+    List.map
+      (fun (k, v) ->
+        if String.equal k "gpu" then (k, if v = "YES" then "NO" else "YES")
+        else (k, v))
+      props
+  else props
+
 let refresh_from_refapi t ctx =
-  Hashtbl.reset t.rows;
-  List.iter
-    (fun host ->
-      match Testbed.Refapi.get ctx.Testbed.Faults.refapi host with
-      | None -> ()
-      | Some doc ->
-        let props = expected_of_doc doc in
-        let props =
-          (* Active desync corruption: flip the gpu property. *)
-          if Hashtbl.mem ctx.Testbed.Faults.flags ("oar_desync:" ^ host) then
-            List.map
-              (fun (k, v) ->
-                if String.equal k "gpu" then (k, if v = "YES" then "NO" else "YES")
-                else (k, v))
-              props
-          else props
-        in
-        Hashtbl.replace t.rows host props)
-    (Testbed.Refapi.hosts ctx.Testbed.Faults.refapi)
+  (* The flags table holds a handful of entries; collect the desynced
+     hosts once instead of building a key per host. *)
+  let desynced =
+    Hashtbl.fold
+      (fun key _ acc ->
+        if String.starts_with ~prefix:desync_prefix key then
+          let n = String.length desync_prefix in
+          String.sub key n (String.length key - n) :: acc
+        else acc)
+      ctx.Testbed.Faults.flags []
+  in
+  let changed = ref false in
+  let added = ref false in
+  Testbed.Refapi.iter ctx.Testbed.Faults.refapi (fun host doc ->
+      let desync = List.exists (String.equal host) desynced in
+      match Hashtbl.find t.rows host with
+      | row ->
+        if row.doc != doc || row.desync <> desync then begin
+          let props = row_props doc ~desync in
+          if props <> row.props then changed := true;
+          row.doc <- doc;
+          row.desync <- desync;
+          row.props <- props
+        end
+      | exception Not_found ->
+        added := true;
+        Hashtbl.replace t.rows host { doc; desync; props = row_props doc ~desync });
+  (* The Reference API never drops a host, so only additions change the
+     host set. *)
+  if !added then begin
+    t.sorted <-
+      Hashtbl.fold (fun host _ acc -> host :: acc) t.rows [] |> List.sort String.compare;
+    changed := true
+  end;
+  !changed
 
 let get t ~host key =
   match Hashtbl.find_opt t.rows host with
   | None -> None
-  | Some props -> List.assoc_opt key props
+  | Some row -> List.assoc_opt key row.props
 
 let props_fun t ~host key = get t ~host key
-let all_of t ~host = Option.value ~default:[] (Hashtbl.find_opt t.rows host)
+let all_of t ~host =
+  match Hashtbl.find_opt t.rows host with None -> [] | Some row -> row.props
 
-let hosts t =
-  Hashtbl.fold (fun host _ acc -> host :: acc) t.rows [] |> List.sort String.compare
+let hosts t = t.sorted

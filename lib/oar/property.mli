@@ -11,9 +11,15 @@ type t
 
 val create : unit -> t
 
-val refresh_from_refapi : t -> Testbed.Faults.ctx -> unit
-(** Rebuild all property rows from the current Reference API documents,
-    then apply any active [oar_desync] corruption flags. *)
+val refresh_from_refapi : t -> Testbed.Faults.ctx -> bool
+(** Bring the property rows up to date with the current Reference API
+    documents and the active [oar_desync] corruption flags.  A host's
+    row is recomputed only when its inputs changed: its document was
+    replaced (documents are immutable, so physical inequality shows a
+    change) or its [oar_desync:<host>] flag was set or cleared.  A host
+    new to the Reference API gets a row.  Returns [true] when a row was
+    added or its value changed — a replaced document that induces the
+    same properties does not count. *)
 
 val get : t -> host:string -> string -> string option
 (** Property lookup, e.g. [get t ~host "cluster"]. *)
@@ -25,6 +31,8 @@ val all_of : t -> host:string -> (string * string) list
 (** All properties of a host, sorted by name. *)
 
 val hosts : t -> string list
+(** Hosts with a row, sorted; kept between refreshes that leave the
+    host set unchanged. *)
 
 val expected_of_doc : Simkit.Json.t -> (string * string) list
 (** Properties a Reference API document should induce — used by the

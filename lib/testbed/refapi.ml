@@ -27,6 +27,7 @@ let publish_all t ~now nodes =
   t.snapshots <- (t.current_version, now, archive) :: t.snapshots
 
 let get t host = Hashtbl.find_opt t.docs host
+let iter t f = Hashtbl.iter f t.docs
 let version t = t.current_version
 
 let snapshot t v =

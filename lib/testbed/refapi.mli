@@ -25,6 +25,11 @@ val publish_all : t -> now:float -> Node.t list -> unit
 val get : t -> string -> Simkit.Json.t option
 (** Currently published document for a host. *)
 
+val iter : t -> (string -> Simkit.Json.t -> unit) -> unit
+(** Visit every host and its current document, in no particular order.
+    Documents are immutable and replaced on every change, so a caller
+    may detect a change by physical inequality. *)
+
 val version : t -> int
 
 val snapshot : t -> int -> (float * (string * Simkit.Json.t) list) option

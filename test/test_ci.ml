@@ -292,6 +292,82 @@ let test_listener_fires () =
   Simkit.Engine.run engine;
   Alcotest.(check (list string)) "listener saw the build" [ "observed" ] !seen
 
+(* ---- History ring ------------------------------------------------------------------ *)
+
+type history_op = Trigger of int list | Advance | Redefine of int
+
+let show_history_op = function
+  | Trigger combos -> "trigger [" ^ String.concat "," (List.map string_of_int combos) ^ "]"
+  | Advance -> "advance"
+  | Redefine retention -> Printf.sprintf "redefine retention=%d" retention
+
+(* Oracle: the history as a newest-first list trimmed to the retention on
+   every record, and the lookups as searches of that list. *)
+let prop_history_ring =
+  let combos = Ci.Jobdef.combinations matrix_axes in
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 6)
+        (list_size (int_range 1 40)
+           (frequency
+              [ (5, map (fun l -> Trigger l) (list_size (int_range 1 4) (int_bound 5)));
+                (3, return Advance);
+                (1, map (fun r -> Redefine r) (int_bound 8)) ])))
+  in
+  QCheck.Test.make ~name:"history ring matches a trimmed list" ~count:300
+    (QCheck.make
+       ~print:(fun (r, ops) ->
+         Printf.sprintf "retention=%d; %s" r (String.concat "; " (List.map show_history_op ops)))
+       gen)
+    (fun (retention, ops) ->
+      let engine, ci = mk () in
+      let define retention =
+        Ci.Server.define ci
+          (Ci.Jobdef.matrix ~retention ~name:"m" ~axes:matrix_axes (fun ~engine ~build:_ ~finish ->
+               ignore (Simkit.Engine.schedule engine ~delay:1.0 (fun _ -> finish Ci.Build.Success))))
+      in
+      define retention;
+      let retention = ref retention in
+      let model = ref [] in
+      let number b = b.Ci.Build.number in
+      let consistent () =
+        let builds = Ci.Server.builds ci "m" in
+        let max_number = match !model with (n, _) :: _ -> n | [] -> 0 in
+        List.map (fun b -> (number b, b.Ci.Build.axes)) builds = !model
+        && Option.map number (Ci.Server.last_build ci "m")
+           = Option.map fst (List.nth_opt !model 0)
+        && Option.map number (Ci.Server.last_completed ci "m")
+           = Option.map number (List.find_opt Ci.Build.is_finished builds)
+        && List.for_all
+             (fun axes ->
+               Option.map number (Ci.Server.last_of_axes ci "m" ~axes)
+               = Option.map number (List.find_opt (fun b -> b.Ci.Build.axes = axes) builds))
+             combos
+        && List.for_all
+             (fun n ->
+               Option.map number (Ci.Server.build ci "m" n)
+               = if List.mem_assoc n !model then Some n else None)
+             (List.init (max_number + 2) Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Trigger picks ->
+             let axes = List.map (List.nth combos) picks in
+             (match Ci.Server.trigger_subset ci "m" ~axes with
+              | Ci.Server.Queued numbers ->
+                List.iter2
+                  (fun n a ->
+                    model := List.filteri (fun i _ -> i < !retention) ((n, a) :: !model))
+                  numbers axes
+              | _ -> ())
+           | Advance -> Simkit.Engine.run_until engine (Simkit.Engine.now engine +. 1.5)
+           | Redefine r ->
+             define r;
+             retention := r);
+          consistent ())
+        ops)
+
 let () =
   Alcotest.run "ci"
     [
@@ -312,6 +388,7 @@ let () =
           Alcotest.test_case "body exception" `Quick test_body_exception_is_failure;
           Alcotest.test_case "abort queued" `Quick test_abort_queued_build;
           Alcotest.test_case "retention" `Quick test_retention_trims_history;
+          Qc.to_alcotest prop_history_ring;
           Alcotest.test_case "listener" `Quick test_listener_fires ] );
       ( "matrix",
         [ Alcotest.test_case "expansion" `Quick test_matrix_expansion;

@@ -123,6 +123,253 @@ let test_filter_cache_invalidated_on_refresh () =
   let after = List.length (Oar.Manager.matching_hosts oar filter) in
   checki "one gpu host lost its property" (before - 1) after
 
+(* ---- incremental property refresh ---------------------------------------------------- *)
+
+(* Full-rebuild oracle: a host's row as derived from scratch from its
+   current document and desync flag. *)
+let rebuilt_row ctx host =
+  match Testbed.Refapi.get ctx.Testbed.Faults.refapi host with
+  | None -> []
+  | Some doc ->
+    let props = Oar.Property.expected_of_doc doc in
+    if Hashtbl.mem ctx.Testbed.Faults.flags ("oar_desync:" ^ host) then
+      List.map
+        (fun (k, v) -> if k = "gpu" then (k, if v = "YES" then "NO" else "YES") else (k, v))
+        props
+    else props
+
+let refresh_filters =
+  List.map Oar.Expr.parse_exn
+    [ "gpu='YES'"; "gpu='NO' and cluster='orion'"; "memnode > 64"; "cores >= 16";
+      "cluster='chifflet' or ib='YES'" ]
+
+(* Hosts the operations touch: gpu clusters, so desync flips move hosts
+   between the gpu filters, and a plain one. *)
+let refresh_hosts =
+  List.concat_map
+    (fun (cluster, site, n) -> List.init n (fun i -> Printf.sprintf "%s-%d.%s" cluster (i + 1) site))
+    [ ("orion", "lyon", 4); ("graphite", "nancy", 4); ("chifflet", "lille", 8) ]
+
+type refresh_op =
+  | Refapi_desync of int
+  | Oar_desync of int
+  | Repair of int
+  | Reset_publish of int
+  | Refresh
+
+let show_refresh_op = function
+  | Refapi_desync i -> Printf.sprintf "refapi_desync %d" i
+  | Oar_desync i -> Printf.sprintf "oar_desync %d" i
+  | Repair i -> Printf.sprintf "repair %d" i
+  | Reset_publish i -> Printf.sprintf "reset_publish %d" i
+  | Refresh -> "refresh"
+
+let gen_refresh_op =
+  let open QCheck.Gen in
+  let host = int_bound (List.length refresh_hosts - 1) in
+  frequency
+    [ (3, map (fun i -> Refapi_desync i) host);
+      (3, map (fun i -> Oar_desync i) host);
+      (3, map (fun i -> Repair i) (int_bound 20));
+      (2, map (fun i -> Reset_publish i) host);
+      (4, return Refresh) ]
+
+let prop_incremental_refresh =
+  QCheck.Test.make ~name:"incremental refresh matches a full rebuild" ~count:40
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_refresh_op ops))
+       QCheck.Gen.(list_size (int_range 1 30) gen_refresh_op))
+    (fun ops ->
+      let instance, oar = mk () in
+      let faults = instance.Testbed.Instance.faults in
+      let ctx = Testbed.Faults.context faults in
+      let host i = List.nth refresh_hosts i in
+      let active = ref [] in
+      let inject kind i =
+        match Testbed.Faults.inject_on faults ~now:0.0 kind (Testbed.Faults.Host (host i)) with
+        | Some fault -> active := !active @ [ fault ]
+        | None -> ()
+      in
+      let consistent () =
+        let props = Oar.Manager.properties oar in
+        let rows =
+          List.map (fun h -> (h, rebuilt_row ctx h)) (Testbed.Refapi.hosts ctx.Testbed.Faults.refapi)
+        in
+        Oar.Property.hosts props = List.map fst rows
+        && List.for_all (fun (h, row) -> Oar.Property.all_of props ~host:h = row) rows
+        && List.for_all
+             (fun filter ->
+               Oar.Manager.matching_hosts oar filter
+               = List.filter_map
+                   (fun (h, row) ->
+                     if Oar.Expr.eval filter ~props:(fun k -> List.assoc_opt k row) then Some h
+                     else None)
+                   rows)
+             refresh_filters
+      in
+      (* Fill the filter cache before the first operation, so a refresh
+         that wrongly keeps it shows. *)
+      consistent ()
+      && List.for_all
+           (fun op ->
+             match op with
+             | Refapi_desync i -> inject Testbed.Faults.Refapi_desync i; true
+             | Oar_desync i -> inject Testbed.Faults.Oar_property_desync i; true
+             | Repair k ->
+               (match !active with
+                | [] -> ()
+                | faults_left ->
+                  let fault = List.nth faults_left (k mod List.length faults_left) in
+                  Testbed.Faults.repair faults ~now:0.0 fault;
+                  active := List.filter (fun f -> f != fault) faults_left);
+               true
+             | Reset_publish i ->
+               let node = Testbed.Instance.node instance (host i) in
+               Testbed.Node.reset_to_reference node;
+               Testbed.Refapi.publish_node ctx.Testbed.Faults.refapi node;
+               true
+             | Refresh ->
+               Oar.Manager.refresh_properties oar;
+               consistent ())
+           ops)
+
+(* ---- placement at [now] --------------------------------------------------------------- *)
+
+(* The window-search oracle: the pre-fast-path [Manager.place_group],
+   which always builds, sorts and searches every usable host's next free
+   window, over a test-side copy of the reservations. *)
+let oracle_place_group gantt ~after ~duration ~usable ~count =
+  let needed = match count with `N n -> n | `All -> List.length usable in
+  if needed = 0 || List.length usable < needed then None
+  else begin
+    let windows =
+      List.map (fun h -> (h, Oar.Gantt.next_free_window gantt ~host:h ~after ~duration)) usable
+      |> List.sort (fun (_, a) (_, b) -> Float.compare a b)
+    in
+    let candidates = List.sort_uniq Float.compare (after :: List.map snd windows) in
+    let feasible_at start =
+      let rec take acc taken = function
+        | [] -> if taken >= needed then Some (List.rev acc) else None
+        | _ when taken >= needed -> Some (List.rev acc)
+        | (h, _) :: rest ->
+          if Oar.Gantt.is_free gantt ~host:h ~start ~stop:(start +. duration) then
+            take (h :: acc) (taken + 1) rest
+          else take acc taken rest
+      in
+      take [] 0 windows
+    in
+    let rec try_candidates = function
+      | [] -> None
+      | start :: rest -> (
+        match feasible_at start with
+        | Some chosen -> Some (start, chosen)
+        | None -> try_candidates rest)
+    in
+    match try_candidates candidates with
+    | Some placement -> Some placement
+    | None ->
+      let horizon =
+        List.fold_left
+          (fun acc (h, _) ->
+            List.fold_left
+              (fun acc (_, stop, _) -> Float.max acc stop)
+              acc (Oar.Gantt.reservations gantt ~host:h))
+          after windows
+      in
+      Option.map (fun chosen -> (horizon, chosen)) (feasible_at horizon)
+  end
+
+(* [Manager.place_request]'s fixpoint, specialised to one group. *)
+let oracle_place gantt ~after ~duration ~usable ~count =
+  let rec search start attempts =
+    if attempts > 30 then None
+    else
+      match oracle_place_group gantt ~after:start ~duration ~usable ~count with
+      | None -> None
+      | Some (s, _) when s > start -> search s (attempts + 1)
+      | Some (_, hosts) -> Some (start, hosts)
+  in
+  search after 0
+
+let gen_count n_hosts =
+  QCheck.Gen.(
+    frequency [ (4, map (fun n -> `N n) (int_range 1 (n_hosts + 1))); (1, return `All) ])
+
+let show_count = function `N n -> Printf.sprintf "N %d" n | `All -> "All"
+
+let prop_place_at_now =
+  let cluster = "grimoire" and n_hosts = 8 in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_bound 2) (int_bound (n_hosts - 1)))
+        (list_size (int_range 0 12)
+           (triple (int_bound 20) (int_range 1 8) (gen_count n_hosts)))
+        (list_size (int_range 1 4) (pair (int_range 1 8) (gen_count n_hosts))))
+  in
+  let print (down, reservations, probes) =
+    Printf.sprintf "down [%s]; reserve [%s]; probe [%s]"
+      (String.concat "," (List.map string_of_int down))
+      (String.concat "; "
+         (List.map
+            (fun (s, w, c) -> Printf.sprintf "at %d0min for %d0min %s" s w (show_count c))
+            reservations))
+      (String.concat "; "
+         (List.map (fun (w, c) -> Printf.sprintf "%d0min %s" w (show_count c)) probes))
+  in
+  QCheck.Test.make ~name:"immediate placement matches the window search" ~count:150
+    (QCheck.make ~print gen)
+    (fun (down, reservations, probes) ->
+      let instance, oar = mk () in
+      let nodes = Testbed.Instance.nodes_of_cluster instance cluster in
+      List.iter
+        (fun i -> (List.nth nodes i).Testbed.Node.state <- Testbed.Node.Down)
+        down;
+      let gantt = Oar.Gantt.create () in
+      let record job =
+        let start = job.Oar.Job.scheduled_start in
+        List.iter
+          (fun host ->
+            Oar.Gantt.reserve gantt ~host ~start
+              ~stop:(start +. job.Oar.Job.request.Oar.Request.walltime)
+              ~job:job.Oar.Job.id)
+          job.Oar.Job.assigned
+      in
+      let request count walltime =
+        Oar.Request.nodes ~filter:(Printf.sprintf "cluster='%s'" cluster) count ~walltime
+      in
+      List.iter
+        (fun (slot, length, count) ->
+          match
+            Oar.Manager.submit_at oar ~start:(600.0 *. float_of_int slot)
+              (request count (600.0 *. float_of_int length))
+          with
+          | Ok job -> record job
+          | Error _ -> ())
+        reservations;
+      let usable =
+        List.filter_map
+          (fun node ->
+            if node.Testbed.Node.state <> Testbed.Node.Down && Testbed.Node.in_service node
+            then Some node.Testbed.Node.host
+            else None)
+          nodes
+        |> List.sort String.compare
+      in
+      List.for_all
+        (fun (length, count) ->
+          let duration = 600.0 *. float_of_int length in
+          let expected = oracle_place gantt ~after:0.0 ~duration ~usable ~count in
+          match (Oar.Manager.submit oar ~immediate:true (request count duration), expected) with
+          | Error Oar.Manager.No_matching_resource, None -> true
+          | Error (Oar.Manager.Not_immediately_schedulable at), Some (start, _) ->
+            start > 1.0 && at = start
+          | Ok job, Some (start, hosts) ->
+            record job;
+            start <= 1.0 && job.Oar.Job.scheduled_start = start && job.Oar.Job.assigned = hosts
+          | _ -> false)
+        probes)
+
 (* ---- exact-host requests ------------------------------------------------------------ *)
 
 let test_exact_host_reservation () =
@@ -189,7 +436,9 @@ let () =
           Alcotest.test_case "multi-group estimate" `Quick test_estimate_multi_group;
           Alcotest.test_case "exact hosts" `Quick test_exact_host_reservation;
           Alcotest.test_case "cache invalidation" `Quick
-            test_filter_cache_invalidated_on_refresh ] );
+            test_filter_cache_invalidated_on_refresh;
+          Qc.to_alcotest prop_incremental_refresh;
+          Qc.to_alcotest prop_place_at_now ] );
       ( "workload",
         [ Alcotest.test_case "diurnal profile" `Slow test_workload_respects_diurnal_profile;
           Alcotest.test_case "accounting integration" `Slow test_accounting_under_workload ] );
