@@ -203,13 +203,15 @@ let oarproperties_script env config ~build ~finish =
   in
   after env 20.0 (fun () ->
       let evidences = ref [] in
+      let props = Oar.Manager.properties env.Env.oar in
       List.iter
         (fun host ->
           match Testbed.Refapi.get env.Env.instance.Testbed.Instance.refapi host with
           | None -> ()
+          | Some doc when Oar.Property.induced_by props ~host doc -> ()
           | Some doc ->
             let expected = Oar.Property.expected_of_doc doc in
-            let actual = Oar.Property.all_of (Oar.Manager.properties env.Env.oar) ~host in
+            let actual = Oar.Property.all_of props ~host in
             let diverging =
               List.filter
                 (fun (k, v) ->

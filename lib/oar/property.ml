@@ -106,3 +106,8 @@ let all_of t ~host =
   match Hashtbl.find_opt t.rows host with None -> [] | Some row -> row.props
 
 let hosts t = t.sorted
+
+let induced_by t ~host doc =
+  match Hashtbl.find_opt t.rows host with
+  | None -> false
+  | Some row -> row.doc == doc && not row.desync

@@ -37,3 +37,10 @@ val hosts : t -> string list
 val expected_of_doc : Simkit.Json.t -> (string * string) list
 (** Properties a Reference API document should induce — used by the
     [oarproperties] consistency check. *)
+
+val induced_by : t -> host:string -> Simkit.Json.t -> bool
+(** [induced_by t ~host doc] is [true] when the host's row was computed
+    from this very document (physical equality) and carries no desync
+    corruption.  Rows are a pure function of those inputs, so [all_of t
+    ~host] is then exactly [expected_of_doc doc] and the [oarproperties]
+    check can skip the comparison. *)

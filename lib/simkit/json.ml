@@ -275,25 +275,28 @@ let list_member key t = match member key t with Some (List l) -> Some l | _ -> N
 let diff reference actual =
   let out = ref [] in
   let record path a b = out := (path, a, b) :: !out in
+  (* [equal a b] implies that the walk below records nothing, so an equal
+     subtree is skipped before its keys are sorted and its paths built. *)
   let rec go path a b =
-    match (a, b) with
-    | Obj ma, Obj mb ->
-      let keys =
-        List.sort_uniq String.compare (List.map fst ma @ List.map fst mb)
-      in
-      List.iter
-        (fun k ->
-          let sub = if path = "" then k else path ^ "/" ^ k in
-          match (List.assoc_opt k ma, List.assoc_opt k mb) with
-          | Some va, Some vb -> go sub va vb
-          | Some va, None -> record sub (Some va) None
-          | None, Some vb -> record sub None (Some vb)
-          | None, None -> ())
-        keys
-    | List la, List lb when List.length la = List.length lb ->
-      List.iteri (fun i (va, vb) -> go (Printf.sprintf "%s/%d" path i) va vb)
-        (List.combine la lb)
-    | a, b -> if not (equal a b) then record path (Some a) (Some b)
+    if not (equal a b) then
+      match (a, b) with
+      | Obj ma, Obj mb ->
+        let keys =
+          List.sort_uniq String.compare (List.map fst ma @ List.map fst mb)
+        in
+        List.iter
+          (fun k ->
+            let sub = if path = "" then k else path ^ "/" ^ k in
+            match (List.assoc_opt k ma, List.assoc_opt k mb) with
+            | Some va, Some vb -> go sub va vb
+            | Some va, None -> record sub (Some va) None
+            | None, Some vb -> record sub None (Some vb)
+            | None, None -> ())
+          keys
+      | List la, List lb when List.length la = List.length lb ->
+        List.iteri (fun i (va, vb) -> go (Printf.sprintf "%s/%d" path i) va vb)
+          (List.combine la lb)
+      | a, b -> record path (Some a) (Some b)
   in
   go "" reference actual;
   List.rev !out

@@ -1,15 +1,32 @@
-type t = { rings : (string, string list) Hashtbl.t }
-(* Rings are newest-first internally, capped. *)
+(* Each host's lines sit in an array ring: [total] lines were ever
+   written, the newest at [(total - 1) mod length].  The array doubles
+   from [initial] up to [cap] and only then wraps, so a host that logs
+   little holds a small array. *)
+type ring = { mutable lines : string array; mutable total : int }
+type t = { rings : (string, ring) Hashtbl.t }
 
 let cap = 200
+let initial = 8
 
 let create () = { rings = Hashtbl.create 1024 }
 
 let log_line t ~host line =
-  let ring = Option.value ~default:[] (Hashtbl.find_opt t.rings host) in
-  let ring = line :: ring in
-  let ring = if List.length ring > cap then List.filteri (fun i _ -> i < cap) ring else ring in
-  Hashtbl.replace t.rings host ring
+  let ring =
+    match Hashtbl.find_opt t.rings host with
+    | Some ring -> ring
+    | None ->
+      let ring = { lines = Array.make initial ""; total = 0 } in
+      Hashtbl.replace t.rings host ring;
+      ring
+  in
+  let len = Array.length ring.lines in
+  if ring.total = len && len < cap then begin
+    let grown = Array.make (min cap (2 * len)) "" in
+    Array.blit ring.lines 0 grown 0 len;
+    ring.lines <- grown
+  end;
+  ring.lines.(ring.total mod Array.length ring.lines) <- line;
+  ring.total <- ring.total + 1
 
 let log_boot t node =
   let host = node.Node.host in
@@ -22,8 +39,12 @@ let log_boot t node =
   log_line t ~host (host ^ " login:")
 
 let tail t ~host n =
-  let ring = Option.value ~default:[] (Hashtbl.find_opt t.rings host) in
-  List.rev (List.filteri (fun i _ -> i < n) ring)
+  match Hashtbl.find_opt t.rings host with
+  | None -> []
+  | Some ring ->
+    let len = Array.length ring.lines in
+    let k = max 0 (min n (min ring.total len)) in
+    List.init k (fun i -> ring.lines.((ring.total - k + i) mod len))
 
 let roundtrip t ~services node ~marker =
   let host = node.Node.host in

@@ -11,13 +11,17 @@ type t
 val create : unit -> t
 
 val log_line : t -> host:string -> string -> unit
-(** Append one line to the host's ring (capped at 200 lines). *)
+(** Append one line to the host's ring, which keeps the last 200 lines.
+    The ring is an array written in place: it starts at 8 slots and
+    doubles up to 200, then overwrites the oldest line, so once grown a
+    line costs no allocation beyond its string. *)
 
 val log_boot : t -> Node.t -> unit
 (** Append the canonical boot banner of the node's current environment. *)
 
 val tail : t -> host:string -> int -> string list
-(** Last [n] captured lines (oldest first); empty for unknown hosts. *)
+(** Last [n] captured lines (oldest first), at most 200; empty for
+    unknown hosts and for [n <= 0]. *)
 
 val roundtrip :
   t -> services:Services.t -> Node.t -> marker:string -> bool

@@ -7,6 +7,8 @@ type t = {
   refapi : Refapi.t;
   faults : Faults.t;
   console : Console.t;
+  by_cluster : (string, Node.t list) Hashtbl.t;
+  by_site : (string, Node.t list) Hashtbl.t;
 }
 
 let now t = Simkit.Engine.now t.engine
@@ -79,20 +81,30 @@ let build ?(seed = 42L) () =
   let faults = Faults.create ~rng:(Simkit.Prng.split master) ctx in
   let console = Console.create () in
   Array.iter (Console.log_boot console) nodes;
-  let t = { engine; nodes; by_host; network; services; refapi; faults; console } in
+  (* Walking the array backwards and prepending keeps each list in array
+     order, which within a cluster is index order: a cluster's nodes are
+     built together, numbered from 1. *)
+  let by_cluster = Hashtbl.create 64 and by_site = Hashtbl.create 16 in
+  let prepend tbl key n =
+    Hashtbl.replace tbl key (n :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+  in
+  for i = Array.length nodes - 1 downto 0 do
+    let n = nodes.(i) in
+    prepend by_cluster n.Node.cluster_name n;
+    prepend by_site n.Node.site_name n
+  done;
+  let t =
+    { engine; nodes; by_host; network; services; refapi; faults; console; by_cluster; by_site }
+  in
   start_reboot_process t;
   t
 
 let node t host = Hashtbl.find t.by_host host
 let find_node t host = Hashtbl.find_opt t.by_host host
 
-let nodes_of_cluster t cluster =
-  Array.to_list t.nodes
-  |> List.filter (fun n -> String.equal n.Node.cluster_name cluster)
-  |> List.sort (fun a b -> compare a.Node.index b.Node.index)
-
-let nodes_of_site t site =
-  Array.to_list t.nodes |> List.filter (fun n -> String.equal n.Node.site_name site)
+let lookup tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key)
+let nodes_of_cluster t cluster = lookup t.by_cluster cluster
+let nodes_of_site t site = lookup t.by_site site
 
 let pp_summary ppf t =
   let cores =

@@ -11,6 +11,10 @@ type t = {
   refapi : Refapi.t;
   faults : Faults.t;
   console : Console.t;
+  by_cluster : (string, Node.t list) Hashtbl.t;
+  by_site : (string, Node.t list) Hashtbl.t;
+      (** Built once by {!build}; read them through {!nodes_of_cluster}
+          and {!nodes_of_site}. *)
 }
 
 val build : ?seed:int64 -> unit -> t
@@ -24,9 +28,12 @@ val node : t -> string -> Node.t
 val find_node : t -> string -> Node.t option
 
 val nodes_of_cluster : t -> string -> Node.t list
-(** In index order. *)
+(** The cluster's nodes in index order; [[]] for an unknown cluster.  The
+    list is computed once by {!build} and shared between calls. *)
 
 val nodes_of_site : t -> string -> Node.t list
+(** The site's nodes in {!field-nodes} order; [[]] for an unknown site.
+    Precomputed and shared like {!nodes_of_cluster}. *)
 
 val now : t -> float
 

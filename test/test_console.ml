@@ -78,6 +78,35 @@ let test_unknown_host_empty () =
   checki "unknown host" 0
     (List.length (Testbed.Console.tail t.Testbed.Instance.console ~host:"ghost.nowhere" 10))
 
+(* The console before the ring: a newest-first list per host, cut back to
+   200 lines after each append. *)
+let list_console_tail lines ~host n =
+  let ring =
+    List.fold_left
+      (fun ring (h, line) ->
+        if String.equal h host then
+          let ring = line :: ring in
+          if List.length ring > 200 then List.filteri (fun i _ -> i < 200) ring else ring
+        else ring)
+      [] lines
+  in
+  List.rev (List.filteri (fun i _ -> i < n) ring)
+
+let prop_ring_matches_list =
+  let hosts = [ "a"; "b"; "c" ] in
+  QCheck.Test.make ~name:"ring tail = capped-list tail" ~count:200
+    QCheck.(list_of_size Gen.(int_bound 700) (pair (int_bound 2) small_nat))
+    (fun writes ->
+      let lines = List.map (fun (h, i) -> (List.nth hosts h, string_of_int i)) writes in
+      let console = Testbed.Console.create () in
+      List.iter (fun (host, line) -> Testbed.Console.log_line console ~host line) lines;
+      List.for_all
+        (fun host ->
+          List.for_all
+            (fun n -> Testbed.Console.tail console ~host n = list_console_tail lines ~host n)
+            [ 0; 1; 199; 200; 250 ])
+        ("unknown" :: hosts))
+
 let () =
   Alcotest.run "console"
     [
@@ -89,5 +118,6 @@ let () =
           Alcotest.test_case "service down" `Quick test_roundtrip_service_down;
           Alcotest.test_case "down node" `Quick test_roundtrip_down_node;
           Alcotest.test_case "ring capped" `Quick test_ring_capped;
-          Alcotest.test_case "unknown host" `Quick test_unknown_host_empty ] );
+          Alcotest.test_case "unknown host" `Quick test_unknown_host_empty;
+          Qc.to_alcotest prop_ring_matches_list ] );
     ]

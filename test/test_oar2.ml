@@ -174,13 +174,75 @@ let gen_refresh_op =
       (2, map (fun i -> Reset_publish i) host);
       (4, return Refresh) ]
 
+(* Test-side copy of the [oarproperties] step before [Property.induced_by]:
+   every host of the cluster that has a document is compared in full.
+   Returns the log lines and the evidence signatures, newest first as the
+   script files them. *)
+let full_oarproperties_step instance oar cluster =
+  let props = Oar.Manager.properties oar in
+  List.fold_left
+    (fun (log, signatures) node ->
+      let host = node.Testbed.Node.host in
+      match Testbed.Refapi.get instance.Testbed.Instance.refapi host with
+      | None -> (log, signatures)
+      | Some doc ->
+        let actual = Oar.Property.all_of props ~host in
+        let diverging =
+          List.filter
+            (fun (k, v) ->
+              match List.assoc_opt k actual with Some v' -> v <> v' | None -> true)
+            (Oar.Property.expected_of_doc doc)
+        in
+        if diverging = [] then (log, signatures)
+        else
+          ( log
+            @ List.map
+                (fun (k, v) ->
+                  Printf.sprintf "%s: OAR property %s should be %s (is %s)" host k v
+                    (Option.value ~default:"<unset>" (List.assoc_opt k actual)))
+                diverging,
+            ("oarprops:" ^ host) :: signatures ))
+    ([], [])
+    (Testbed.Instance.nodes_of_cluster instance cluster)
+
+(* Run the [oarproperties] script on [cluster]; when it finishes, return its
+   log lines and signatures with the full step's, taken at that instant. *)
+let oarproperties_vs_full env cluster =
+  let config =
+    List.find
+      (fun c -> c.Framework.Testdef.cluster = Some cluster)
+      (Framework.Testdef.expand Framework.Testdef.Oarproperties)
+  in
+  let now = Framework.Env.now env in
+  let build =
+    { Ci.Build.job_name = "oarproperties"; number = 1;
+      axes = Framework.Testdef.axes_of_config config; cause = "test"; retry_of = None;
+      queued_at = now; started_at = Some now; finished_at = None; result = None; log = [];
+      artifacts = []; touched_hosts = [] }
+  in
+  let result = ref None in
+  Framework.Scripts.run env config ~build ~finish:(fun outcome ->
+      let signatures =
+        List.map
+          (fun (e : Framework.Bugtracker.evidence) -> e.signature)
+          outcome.Framework.Scripts.evidences
+      in
+      result :=
+        Some
+          ( (build.Ci.Build.log, signatures),
+            full_oarproperties_step env.Framework.Env.instance env.Framework.Env.oar cluster ));
+  let engine = Framework.Env.engine env in
+  while !result = None && Simkit.Engine.step engine do () done;
+  Option.get !result
+
 let prop_incremental_refresh =
   QCheck.Test.make ~name:"incremental refresh matches a full rebuild" ~count:40
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map show_refresh_op ops))
        QCheck.Gen.(list_size (int_range 1 30) gen_refresh_op))
     (fun ops ->
-      let instance, oar = mk () in
+      let env = Framework.Env.create ~seed:1234L () in
+      let instance = env.Framework.Env.instance and oar = env.Framework.Env.oar in
       let faults = instance.Testbed.Instance.faults in
       let ctx = Testbed.Faults.context faults in
       let host i = List.nth refresh_hosts i in
@@ -207,30 +269,49 @@ let prop_incremental_refresh =
                    rows)
              refresh_filters
       in
+      (* A row induced by a host's current document is that document's
+         expected properties, and skipping such rows leaves the
+         [oarproperties] step unchanged. *)
+      let step_unchanged () =
+        let props = Oar.Manager.properties oar in
+        List.for_all
+          (fun h ->
+            match Testbed.Refapi.get ctx.Testbed.Faults.refapi h with
+            | Some doc when Oar.Property.induced_by props ~host:h doc ->
+              Oar.Property.all_of props ~host:h = Oar.Property.expected_of_doc doc
+            | _ -> true)
+          (Testbed.Refapi.hosts ctx.Testbed.Faults.refapi)
+        && List.for_all
+             (fun cluster ->
+               let script, full = oarproperties_vs_full env cluster in
+               script = full)
+             [ "orion"; "graphite"; "chifflet" ]
+      in
       (* Fill the filter cache before the first operation, so a refresh
          that wrongly keeps it shows. *)
       consistent ()
       && List.for_all
            (fun op ->
-             match op with
-             | Refapi_desync i -> inject Testbed.Faults.Refapi_desync i; true
-             | Oar_desync i -> inject Testbed.Faults.Oar_property_desync i; true
-             | Repair k ->
-               (match !active with
-                | [] -> ()
-                | faults_left ->
-                  let fault = List.nth faults_left (k mod List.length faults_left) in
-                  Testbed.Faults.repair faults ~now:0.0 fault;
-                  active := List.filter (fun f -> f != fault) faults_left);
-               true
-             | Reset_publish i ->
-               let node = Testbed.Instance.node instance (host i) in
-               Testbed.Node.reset_to_reference node;
-               Testbed.Refapi.publish_node ctx.Testbed.Faults.refapi node;
-               true
-             | Refresh ->
-               Oar.Manager.refresh_properties oar;
-               consistent ())
+             (match op with
+              | Refapi_desync i -> inject Testbed.Faults.Refapi_desync i; true
+              | Oar_desync i -> inject Testbed.Faults.Oar_property_desync i; true
+              | Repair k ->
+                (match !active with
+                 | [] -> ()
+                 | faults_left ->
+                   let fault = List.nth faults_left (k mod List.length faults_left) in
+                   Testbed.Faults.repair faults ~now:0.0 fault;
+                   active := List.filter (fun f -> f != fault) faults_left);
+                true
+              | Reset_publish i ->
+                let node = Testbed.Instance.node instance (host i) in
+                Testbed.Node.reset_to_reference node;
+                Testbed.Refapi.publish_node ctx.Testbed.Faults.refapi node;
+                true
+              | Refresh ->
+                Oar.Manager.refresh_properties oar;
+                consistent ())
+             && step_unchanged ())
            ops)
 
 (* ---- placement at [now] --------------------------------------------------------------- *)

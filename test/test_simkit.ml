@@ -947,6 +947,98 @@ let prop_json_roundtrip =
       | Ok parsed -> Simkit.Json.equal parsed doc
       | Error _ -> false)
 
+(* The walk [Json.diff] made before it pruned equal subtrees: every member
+   of every object is visited, equal or not. *)
+let unpruned_diff reference actual =
+  let open Simkit.Json in
+  let out = ref [] in
+  let record path a b = out := (path, a, b) :: !out in
+  let rec go path a b =
+    match (a, b) with
+    | Obj ma, Obj mb ->
+      let keys = List.sort_uniq String.compare (List.map fst ma @ List.map fst mb) in
+      List.iter
+        (fun k ->
+          let sub = if path = "" then k else path ^ "/" ^ k in
+          match (List.assoc_opt k ma, List.assoc_opt k mb) with
+          | Some va, Some vb -> go sub va vb
+          | Some va, None -> record sub (Some va) None
+          | None, Some vb -> record sub None (Some vb)
+          | None, None -> ())
+        keys
+    | List la, List lb when List.length la = List.length lb ->
+      List.iteri (fun i (va, vb) -> go (Printf.sprintf "%s/%d" path i) va vb)
+        (List.combine la lb)
+    | a, b -> if not (equal a b) then record path (Some a) (Some b)
+  in
+  go "" reference actual;
+  List.rev !out
+
+(* Documents over a small key set, so objects share and repeat keys, with
+   integral floats so [Int n] meets [Float n]. *)
+let rec gen_diff_doc depth =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [ map (fun i -> Simkit.Json.Int i) (int_bound 3);
+        map (fun i -> Simkit.Json.Float (float_of_int i)) (int_bound 3);
+        map (fun b -> Simkit.Json.Bool b) bool;
+        map (fun s -> Simkit.Json.String s) (oneofl [ "x"; "y" ]);
+        return Simkit.Json.Null ]
+  in
+  if depth = 0 then leaf
+  else
+    frequency
+      [ (1, leaf);
+        (1, map (fun l -> Simkit.Json.List l) (list_size (int_bound 3) (gen_diff_doc (depth - 1))));
+        ( 3,
+          map
+            (fun l -> Simkit.Json.Obj l)
+            (list_size (int_bound 4)
+               (pair (oneofl [ "a"; "b"; "c"; "d" ]) (gen_diff_doc (depth - 1)))) ) ]
+
+(* A copy of [doc] with one change somewhere below the root: a leaf, an
+   [Int]/[Float] swap, reordered, duplicated or dropped members, a list of
+   another length, [Null] — or no change at all.  Most changes sit under
+   objects whose key lists stay the same. *)
+let rec gen_diff_mutant doc =
+  let open QCheck.Gen in
+  let open Simkit.Json in
+  let here =
+    match doc with
+    | Int n -> oneofl [ Float (float_of_int n); Int (n + 1); Null ]
+    | Float f -> oneofl [ Int (int_of_float f); Float (f +. 0.5); Null ]
+    | Obj [] -> oneofl [ Null; Obj [ ("a", Null) ] ]
+    | Obj ((k, v) :: rest as ms) ->
+      oneofl [ Obj (List.rev ms); Obj (ms @ [ (k, Int 7) ]); Obj rest; Obj (rest @ [ (k, v) ]) ]
+    | List l -> oneofl [ List (Null :: l); List (List.rev l); Null ]
+    | Null | Bool _ | String _ -> oneofl [ Bool true; String "z"; Int 0 ]
+  in
+  let below =
+    match doc with
+    | Obj (_ :: _ as ms) ->
+      int_bound (List.length ms - 1) >>= fun i ->
+      let k, v = List.nth ms i in
+      gen_diff_mutant v >|= fun v' ->
+      Obj (List.mapi (fun j m -> if j = i then (k, v') else m) ms)
+    | List (_ :: _ as l) ->
+      int_bound (List.length l - 1) >>= fun i ->
+      gen_diff_mutant (List.nth l i) >|= fun v' ->
+      List (List.mapi (fun j x -> if j = i then v' else x) l)
+    | _ -> here
+  in
+  frequency [ (1, return doc); (2, here); (4, below) ]
+
+let prop_json_diff_pruned =
+  QCheck.Test.make ~name:"json diff with pruning = unpruned walk" ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b) -> Simkit.Json.to_string a ^ " vs " ^ Simkit.Json.to_string b)
+       QCheck.Gen.(
+         gen_diff_doc 3 >>= fun doc ->
+         gen_diff_mutant doc >>= fun mutant ->
+         bool >|= fun swap -> if swap then (mutant, doc) else (doc, mutant)))
+    (fun (a, b) -> Simkit.Json.diff a b = unpruned_diff a b)
+
 (* ---- Table ------------------------------------------------------------------ *)
 
 let test_table_render () =
@@ -1059,7 +1151,8 @@ let () =
           Alcotest.test_case "diff" `Quick test_json_diff;
           Alcotest.test_case "diff nested/missing" `Quick test_json_diff_nested_and_missing;
           Alcotest.test_case "diff identical" `Quick test_json_diff_identical;
-          qc prop_json_roundtrip ] );
+          qc prop_json_roundtrip;
+          qc prop_json_diff_pruned ] );
       ( "table",
         [ Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "pads short rows" `Quick test_table_pads_short_rows;

@@ -109,6 +109,31 @@ let test_instance_node_lookup () =
   checki "graphene node count" 60
     (List.length (Testbed.Instance.nodes_of_cluster t "graphene"))
 
+(* The lookups return what filtering [nodes] gave before they were
+   precomputed: same nodes, same order, [[]] for an unknown name. *)
+let test_instance_cluster_site_lists () =
+  let t = build () in
+  let filtered pred sort =
+    Array.to_list t.Testbed.Instance.nodes |> List.filter pred |> sort
+  in
+  let same = List.equal ( == ) in
+  List.iter
+    (fun cluster ->
+      checkb cluster true
+        (same
+           (Testbed.Instance.nodes_of_cluster t cluster)
+           (filtered
+              (fun n -> String.equal n.Testbed.Node.cluster_name cluster)
+              (List.sort (fun a b -> compare a.Testbed.Node.index b.Testbed.Node.index)))))
+    ("nosuch" :: List.map (fun c -> c.Testbed.Inventory.cluster) Testbed.Inventory.clusters);
+  List.iter
+    (fun site ->
+      checkb site true
+        (same
+           (Testbed.Instance.nodes_of_site t site)
+           (filtered (fun n -> String.equal n.Testbed.Node.site_name site) Fun.id)))
+    ("nosuch" :: Testbed.Inventory.sites)
+
 let test_nodes_start_healthy () =
   let t = build () in
   Array.iter
@@ -464,6 +489,7 @@ let () =
       ( "node",
         [ Alcotest.test_case "population" `Quick test_instance_population;
           Alcotest.test_case "lookup" `Quick test_instance_node_lookup;
+          Alcotest.test_case "cluster and site lists" `Quick test_instance_cluster_site_lists;
           Alcotest.test_case "starts healthy" `Quick test_nodes_start_healthy;
           Alcotest.test_case "boot duration" `Quick test_node_boot_duration_reasonable;
           Alcotest.test_case "boot race delays" `Quick test_node_boot_race_delays;
