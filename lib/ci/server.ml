@@ -14,7 +14,7 @@ type ring = { mutable slots : Build.t array; mutable newest : int; mutable len :
 type t = {
   engine : Simkit.Engine.t;
   jobs : (string, Jobdef.t) Hashtbl.t;
-  mutable queue : pending list;  (* FIFO: head = next to run *)
+  queue : pending Queue.t;  (* FIFO: [Queue.take] = next to run *)
   history : (string, ring) Hashtbl.t;
   permissions : (string, permission) Hashtbl.t;
   n_executors : int;
@@ -39,7 +39,7 @@ let create ?(executors = 6) engine =
   {
     engine;
     jobs = Hashtbl.create 32;
-    queue = [];
+    queue = Queue.create ();
     history = Hashtbl.create 32;
     permissions = Hashtbl.create 16;
     n_executors = executors;
@@ -107,7 +107,7 @@ let last_build t name = find_newest t name (fun _ -> true)
 let last_completed t name = find_newest t name Build.is_finished
 let last_of_axes t name ~axes = find_newest t name (fun b -> b.Build.axes = axes)
 
-let queue_length t = List.length t.queue
+let queue_length t = Queue.length t.queue
 let busy_executors t = t.busy
 let executors t = t.n_executors
 let builds_executed t = t.executed
@@ -150,45 +150,42 @@ let record t build =
 (* ---- executor pool ------------------------------------------------------ *)
 
 let rec pump t =
-  if t.busy < t.n_executors && not t.in_outage then begin
-    match t.queue with
-    | [] -> ()
-    | { job; build } :: rest ->
-      t.queue <- rest;
-      if build.Build.result <> None then pump t
-      else begin
-        t.busy <- t.busy + 1;
-        build.Build.started_at <- Some (now t);
-        let key = (build.Build.job_name, build.Build.number) in
-        let finished = ref false in
-        let finish result =
-          if not !finished then begin
-            finished := true;
-            Hashtbl.remove t.running key;
-            build.Build.result <- Some result;
-            build.Build.finished_at <- Some (now t);
-            t.busy <- t.busy - 1;
-            t.executed <- t.executed + 1;
-            List.iter (fun f -> f build) t.listeners;
-            pump t
-          end
-        in
-        Hashtbl.replace t.running key finish;
-        List.iter (fun f -> f build) t.start_listeners;
-        if t.hang then begin
-          (* Build_hang fault: the executor is consumed but the body
-             never runs; only the watchdog's interrupt frees it. *)
-          Build.append_log build "build hung (infrastructure fault)";
+  if t.busy < t.n_executors && (not t.in_outage) && not (Queue.is_empty t.queue) then begin
+    let { job; build } = Queue.take t.queue in
+    if build.Build.result <> None then pump t
+    else begin
+      t.busy <- t.busy + 1;
+      build.Build.started_at <- Some (now t);
+      let key = (build.Build.job_name, build.Build.number) in
+      let finished = ref false in
+      let finish result =
+        if not !finished then begin
+          finished := true;
+          Hashtbl.remove t.running key;
+          build.Build.result <- Some result;
+          build.Build.finished_at <- Some (now t);
+          t.busy <- t.busy - 1;
+          t.executed <- t.executed + 1;
+          List.iter (fun f -> f build) t.listeners;
           pump t
         end
-        else begin
-          (try job.Jobdef.body ~engine:t.engine ~build ~finish
-           with exn ->
-             Build.append_log build ("executor exception: " ^ Printexc.to_string exn);
-             finish Build.Failure);
-          pump t
-        end
+      in
+      Hashtbl.replace t.running key finish;
+      List.iter (fun f -> f build) t.start_listeners;
+      if t.hang then begin
+        (* Build_hang fault: the executor is consumed but the body
+           never runs; only the watchdog's interrupt frees it. *)
+        Build.append_log build "build hung (infrastructure fault)";
+        pump t
       end
+      else begin
+        (try job.Jobdef.body ~engine:t.engine ~build ~finish
+         with exn ->
+           Build.append_log build ("executor exception: " ^ Printexc.to_string exn);
+           finish Build.Failure);
+        pump t
+      end
+    end
   end
 
 let enqueue t job ?(retry_of = None) ~axes ~cause () =
@@ -213,7 +210,7 @@ let enqueue t job ?(retry_of = None) ~axes ~cause () =
     t.deferred <- t.deferred + 1;
     Build.append_log build "queued during CI outage; will replay on recovery"
   end;
-  t.queue <- t.queue @ [ { job; build } ];
+  Queue.add { job; build } t.queue;
   pump t;
   build
 
@@ -305,9 +302,10 @@ let interrupt t build =
   | None -> false
 
 let drop_queue t =
-  let lost = t.queue in
-  t.queue <- [];
-  List.iter
+  (* Detach the whole queue first: listeners may enqueue replacements. *)
+  let lost = Queue.create () in
+  Queue.transfer t.queue lost;
+  Queue.iter
     (fun { build; _ } ->
       if build.Build.result = None then begin
         Build.append_log build "lost: CI queue wiped (infrastructure fault)";
@@ -317,7 +315,7 @@ let drop_queue t =
         List.iter (fun f -> f build) t.listeners
       end)
     lost;
-  List.length lost
+  Queue.length lost
 
 (* ---- log search ---------------------------------------------------------- *)
 

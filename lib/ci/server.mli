@@ -65,6 +65,9 @@ val last_of_axes : t -> string -> axes:(string * string) list -> Build.t option
 (** Most recent build of one matrix combination. *)
 
 val queue_length : t -> int
+(** Entries in the pending queue, in O(1); a build aborted while queued
+    counts until an executor pops it. *)
+
 val busy_executors : t -> int
 val executors : t -> int
 val builds_executed : t -> int

@@ -169,6 +169,8 @@ type sim = {
 
 let sim_engine sim = Env.engine sim.env
 let sim_env sim = sim.env
+let sim_page sim = sim.page
+let sim_serve sim = sim.serve
 let sim_horizon sim = float_of_int sim.sim_cfg.months *. Simkit.Calendar.month
 
 let prepare cfg =

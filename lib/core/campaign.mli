@@ -147,6 +147,12 @@ val sim_env : sim -> Env.t
 (** The member's environment (inventory, faults, OAR, CI), for
     cross-testbed coordination reads at barriers. *)
 
+val sim_page : sim -> Statuspage.t
+(** The member's status-page aggregate. *)
+
+val sim_serve : sim -> Serve.t option
+(** The status-page service, when the [serve] knob attached one. *)
+
 val sim_horizon : sim -> float
 (** The campaign end in simulated seconds ([months] x 30 days). *)
 

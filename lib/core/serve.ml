@@ -80,6 +80,7 @@ type t = {
   rng : Simkit.Prng.t;  (* dedicated stream: never the engine master *)
   journal : Ci.Build.t list ref;  (* newest first; replayed reversed *)
   (* snapshot cache *)
+  renderer : Webstatus.t;
   mutable cached_gen : int;  (* -1 = nothing cached *)
   mutable body : string;
   mutable cached_etag : string;
@@ -137,7 +138,7 @@ let render_fallback t =
 let ensure_current t =
   let gen = Statuspage.generation t.page in
   if t.cached_gen <> gen then begin
-    t.body <- Webstatus.render t.page;
+    t.body <- Webstatus.refresh t.renderer;
     t.cached_etag <- etag_of_generation gen;
     t.cached_gen <- gen;
     t.dirty_since <- None;
@@ -212,7 +213,9 @@ let check_crash t now =
   if crashed && not t.crash_seen then begin
     t.crash_seen <- true;
     t.crashes <- t.crashes + 1;
-    (* Everything in memory is gone: snapshot cache and aggregates. *)
+    (* Everything in memory is gone: snapshot cache and aggregates.  The
+       renderer's cell sections need no wipe: [Statuspage.reset] bumps
+       the cells generation they are stamped with. *)
     t.cached_gen <- -1;
     t.body <- "";
     t.cached_etag <- "";
@@ -229,33 +232,48 @@ let check_crash t now =
 
 (* ---- serving ------------------------------------------------------------ *)
 
-(* Serve one admitted read.  [conditional] = the reader sent the ETag it
-   got last time (modeled as the cache's ETag at the start of the batch). *)
-let serve_one t now ~held_etag ~conditional =
+(* Resolve one admitted read on the current rung and count its outcome;
+   [true] when it is answered [Not_modified].  [conditional] = the reader
+   sent the ETag it got last time (modeled as the cache's ETag at the
+   start of the batch).  Allocates nothing, so the synthetic workload
+   pays it once per admitted read without building a response. *)
+let resolve t ~held_etag ~conditional =
   t.reads <- t.reads + 1;
   match t.current_mode with
   | Fresh ->
     ensure_current t;
     if conditional && String.equal held_etag t.cached_etag then begin
       t.not_modified_n <- t.not_modified_n + 1;
-      Not_modified t.cached_etag
+      true
     end
     else begin
       t.fresh_n <- t.fresh_n + 1;
-      Page { body = t.body; etag = t.cached_etag; mode = Fresh; staleness = 0.0 }
+      false
     end
   | Stale ->
     (* Serve whatever is cached without rendering; if nothing ever was,
        bootstrap with one render (a read must never fail outright). *)
     if t.cached_gen < 0 then ensure_current t;
-    let staleness = staleness_now t now in
     t.stale_n <- t.stale_n + 1;
-    Page { body = t.body; etag = t.cached_etag; mode = Stale; staleness }
+    false
   | Static_fallback ->
-    let staleness = staleness_now t now in
     t.fallback_n <- t.fallback_n + 1;
-    Page
-      { body = t.fallback_body; etag = ""; mode = Static_fallback; staleness }
+    false
+
+(* [resolve], then the response it counted. *)
+let serve_one t now ~held_etag ~conditional =
+  if resolve t ~held_etag ~conditional then Not_modified t.cached_etag
+  else
+    match t.current_mode with
+    | Fresh -> Page { body = t.body; etag = t.cached_etag; mode = Fresh; staleness = 0.0 }
+    | Stale ->
+      Page
+        { body = t.body; etag = t.cached_etag; mode = Stale;
+          staleness = staleness_now t now }
+    | Static_fallback ->
+      Page
+        { body = t.fallback_body; etag = ""; mode = Static_fallback;
+          staleness = staleness_now t now }
 
 let shed t n =
   t.reads <- t.reads + n;
@@ -286,8 +304,9 @@ let tick t eng =
   t.queued <- parked;
   if parked > t.queued_peak then t.queued_peak <- parked;
   update_mode t now;
-  (* Serve the admitted batch read by read (honest per-read cost for the
-     benchmark); the conditional share is a deterministic integer split. *)
+  (* Resolve the admitted batch read by read (honest per-read cost for
+     the benchmark) without building the responses nobody reads; the
+     conditional share is a deterministic integer split. *)
   if admitted > 0 then begin
     let held_etag = t.cached_etag in
     let conditional_n =
@@ -301,7 +320,7 @@ let tick t eng =
         else staleness_now t now
     in
     for i = 1 to admitted do
-      ignore (serve_one t now ~held_etag ~conditional:(i <= conditional_n))
+      ignore (resolve t ~held_etag ~conditional:(i <= conditional_n))
     done;
     (* Fresh/not-modified serves have zero staleness; degraded serves
        all share this tick's value, recorded as one weighted sample. *)
@@ -332,6 +351,7 @@ let attach ~alerts ~config env page =
       alerts;
       rng = Simkit.Prng.create config.workload_seed;
       journal = ref [];
+      renderer = Webstatus.create page;
       cached_gen = -1;
       body = "";
       cached_etag = "";

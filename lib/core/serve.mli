@@ -10,7 +10,10 @@
       stamped with the page's {!Statuspage.generation}; a read after a
       build completion re-renders at most once (single flight), every
       other read is a cache hit, and conditional reads carrying the
-      current ETag are answered [Not_modified] without any body.
+      current ETag are answered [Not_modified] without any body.  The
+      service owns one {!Webstatus.t}, so a re-render rewrites only the
+      summary and history unless the completion changed a cell's value
+      (see {!Webstatus.refresh}).
     - {b Load shedding}: admission goes through a token bucket
       ([rate_limit]/[burst]) backed by a bounded queue ([queue_limit]);
       demand beyond both is {e explicitly} shed and counted, never
@@ -26,6 +29,11 @@
       service rebuilds by replaying its build-completion journal through
       {!Statuspage.apply}, serving the static fallback for 300 s,
       and converges to pages byte-identical to a run that never crashed.
+
+    Cost: each service tick resolves its admitted reads one call per
+    read; that call updates the outcome counters and allocates nothing
+    (it builds no {!response}), and at most one render per tick is paid
+    on top.
 
     The synthetic read workload (Poisson arrivals with deterministic
     daily flash crowds) is driven by engine events but draws from a
@@ -106,7 +114,8 @@ val attach :
 val read : t -> ?if_none_match:string -> unit -> response
 (** One on-demand read through the same admission, cache and
     degradation path as the synthetic workload (used by tests and the
-    [g5ktest serve] command). *)
+    [g5ktest serve] command).  Unlike a synthetic read, it allocates the
+    response it returns. *)
 
 val mode : t -> mode
 val etag : t -> string option

@@ -29,6 +29,11 @@ type t = {
      generation can never mistake a post-reset page for the one it
      stamped. *)
   mutable generation : int;
+  (* Bumped only when a completion changes a latest cell's value (a new
+     scope, or e.g. OK -> KO) in [cells] or [site_cells], and by
+     [reset]: the matrix and the confidence ranking read nothing else,
+     so a rendering of them stays current while it is unchanged. *)
+  mutable cells_generation : int;
 }
 
 let cell_to_string = function
@@ -92,18 +97,26 @@ let on_completed t build =
       | None -> Env.now t.env
     in
     let cell = cell_of_result result in
+    (* Record the latest result; true when the cell's value changed. *)
     let store table key =
       let record = find_or_add table key (fun () -> { latest = None }) in
-      record.latest <- Some (now, cell)
+      let changed =
+        match record.latest with Some (_, previous) -> previous <> cell | None -> true
+      in
+      record.latest <- Some (now, cell);
+      changed
     in
-    store t.cells (family, scope);
+    let changed = store t.cells (family, scope) in
     t.generation <- t.generation + 1;
-    (match config.Testdef.site with
-     | Some site ->
-       store
-         (find_or_add t.site_cells (family, site) (fun () -> Hashtbl.create 8))
-         scope
-     | None -> ());
+    let site_changed =
+      match config.Testdef.site with
+      | Some site ->
+        store
+          (find_or_add t.site_cells (family, site) (fun () -> Hashtbl.create 8))
+          scope
+      | None -> false
+    in
+    if changed || site_changed then t.cells_generation <- t.cells_generation + 1;
     let mc = month_counter t (Simkit.Calendar.month_index now) in
     let fc = family_counter t config.Testdef.family in
     mc.completed <- mc.completed + 1;
@@ -128,6 +141,7 @@ let create env =
       months = Hashtbl.create 16;
       families = Hashtbl.create 16;
       generation = 0;
+      cells_generation = 0;
     }
   in
   Ci.Server.on_build_complete env.Env.ci (fun build -> on_completed t build);
@@ -136,14 +150,17 @@ let create env =
 let apply t build = on_completed t build
 
 let reset t =
-  (* Wipe the aggregates (the serving layer's crash drill) but keep the
-     generation counter monotonic — see the type comment. *)
+  (* Wipe the aggregates (the serving layer's crash drill) but keep both
+     generation counters monotonic — see the type comment.  Every cell
+     just went back to Missing, so the cell views moved. *)
   Hashtbl.reset t.cells;
   Hashtbl.reset t.site_cells;
   Hashtbl.reset t.months;
-  Hashtbl.reset t.families
+  Hashtbl.reset t.families;
+  t.cells_generation <- t.cells_generation + 1
 
 let generation t = t.generation
+let cells_generation t = t.cells_generation
 
 let latest t ~family ~scope =
   match Hashtbl.find_opt t.cells (Testdef.family_to_string family, scope) with

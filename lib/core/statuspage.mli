@@ -24,15 +24,24 @@ val apply : t -> Ci.Build.t -> unit
 
 val reset : t -> unit
 (** Wipe every aggregate (cells, site cells, months, per-family
-    counters) — the serving layer's [Serve_crash] drill.  The
-    generation counter is {e not} rewound: it is monotonic for the
-    lifetime of the value, so snapshot caches keyed on a generation can
-    never confuse a rebuilt page with the one they stamped. *)
+    counters) — the serving layer's [Serve_crash] drill.  Neither
+    generation counter is rewound: both are monotonic for the lifetime
+    of the value, so snapshot caches keyed on a generation can never
+    confuse a rebuilt page with the one they stamped.  [reset] bumps
+    {!cells_generation}: every cell just went back to [Missing], and a
+    cell rendering stamped before the wipe must not outlive it. *)
 
 val generation : t -> int
 (** Bumped once per recorded completion; a cached rendering of any view
-    is current iff its stamped generation still matches.  There is no
-    finer-grained counter: any completion invalidates every view. *)
+    is current iff its stamped generation still matches. *)
+
+val cells_generation : t -> int
+(** Bumped only when a completion changes a latest cell's value — a new
+    scope, or a change such as OK -> KO — in the per-scope or per-site
+    cells, and by {!reset}.  {!site_status}, {!latest} and so the
+    confidence ranking read nothing else, so a rendering of them is
+    current iff its stamped [cells_generation] still matches.  Cost:
+    one compare per recorded completion. *)
 
 val cell_to_string : cell -> string
 

@@ -1,5 +1,4 @@
-let html_escape s =
-  let buf = Buffer.create (String.length s) in
+let add_escaped buf s =
   String.iter
     (fun c ->
       match c with
@@ -8,7 +7,11 @@ let html_escape s =
       | '&' -> Buffer.add_string buf "&amp;"
       | '"' -> Buffer.add_string buf "&quot;"
       | c -> Buffer.add_char buf c)
-    s;
+    s
+
+let html_escape s =
+  let buf = Buffer.create (String.length s) in
+  add_escaped buf s;
   Buffer.contents buf
 
 let cell_class = function
@@ -30,83 +33,163 @@ td.missing { background: #e8e8e8; color: #888; }
 caption { font-weight: bold; padding: 6px; text-align: left; }
 </style>|}
 
-let matrix_table page =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "<table><caption>Latest result per test and site</caption><tr><th>test</th>";
-  List.iter
-    (fun site -> Buffer.add_string buf (Printf.sprintf "<th>%s</th>" (html_escape site)))
-    Testbed.Inventory.sites;
-  Buffer.add_string buf "</tr>";
-  List.iter
+(* ---- constant fragments, built once ------------------------------------- *)
+
+let head =
+  String.concat "\n"
+    [ "<!DOCTYPE html><html><head><meta charset=\"utf-8\">";
+      "<title>Grid'5000 testing status</title>"; style; "</head><body>";
+      "<h1>Testbed testing status</h1>"; "" ]
+
+let family_rows =
+  List.map
     (fun family ->
-      Buffer.add_string buf
-        (Printf.sprintf "<tr><th>%s</th>"
-           (html_escape (Testdef.family_to_string family)));
+      (family, "<tr><th>" ^ html_escape (Testdef.family_to_string family) ^ "</th>"))
+    Testdef.all_families
+
+let matrix_head =
+  String.concat ""
+    ("<table><caption>Latest result per test and site</caption><tr><th>test</th>"
+    :: List.map (fun site -> "<th>" ^ html_escape site ^ "</th>") Testbed.Inventory.sites
+    @ [ "</tr>" ])
+
+let cell_td =
+  let td cell =
+    Printf.sprintf "<td class=\"%s\">%s</td>" (cell_class cell)
+      (Statuspage.cell_to_string cell)
+  in
+  let ok = td Statuspage.Ok_
+  and ko = td Statuspage.Ko
+  and unst = td Statuspage.Unst
+  and missing = td Statuspage.Missing in
+  function
+  | Statuspage.Ok_ -> ok
+  | Statuspage.Ko -> ko
+  | Statuspage.Unst -> unst
+  | Statuspage.Missing -> missing
+
+(* ---- sections ------------------------------------------------------------ *)
+
+let matrix_table buf page =
+  Buffer.add_string buf matrix_head;
+  List.iter
+    (fun (family, row) ->
+      Buffer.add_string buf row;
       List.iter
-        (fun site ->
-          let cell = Statuspage.site_status page ~family ~site in
-          Buffer.add_string buf
-            (Printf.sprintf "<td class=\"%s\">%s</td>" (cell_class cell)
-               (Statuspage.cell_to_string cell)))
+        (fun site -> Buffer.add_string buf (cell_td (Statuspage.site_status page ~family ~site)))
         Testbed.Inventory.sites;
       Buffer.add_string buf "</tr>")
-    Testdef.all_families;
-  Buffer.add_string buf "</table>";
-  Buffer.contents buf
+    family_rows;
+  Buffer.add_string buf "</table>"
 
-let summary_table page =
-  let buf = Buffer.create 2048 in
+let add_td_int buf n =
+  Buffer.add_string buf "<td>";
+  Buffer.add_string buf (string_of_int n);
+  Buffer.add_string buf "</td>"
+
+let add_td_ratio buf ratio =
+  Buffer.add_string buf "<td>";
+  add_escaped buf (Statuspage.fmt_ratio ratio);
+  Buffer.add_string buf "</td>"
+
+let summary_table buf page =
   Buffer.add_string buf
     "<table><caption>Per-test summary</caption>\
      <tr><th>test</th><th>ok</th><th>ko</th><th>unstable</th><th>success</th></tr>";
   List.iter
     (fun (name, ok, ko, unstable, ratio) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "<tr><th>%s</th><td>%d</td><td>%d</td><td>%d</td><td>%s</td></tr>"
-           (html_escape name) ok ko unstable
-           (html_escape (Statuspage.fmt_ratio ratio))))
+      Buffer.add_string buf "<tr><th>";
+      add_escaped buf name;
+      Buffer.add_string buf "</th>";
+      add_td_int buf ok;
+      add_td_int buf ko;
+      add_td_int buf unstable;
+      add_td_ratio buf ratio;
+      Buffer.add_string buf "</tr>")
     (Statuspage.summary_rows page);
-  Buffer.add_string buf "</table>";
-  Buffer.contents buf
+  Buffer.add_string buf "</table>"
 
-let history_table page =
-  let buf = Buffer.create 1024 in
+let history_table buf page =
   Buffer.add_string buf
     "<table><caption>History (30-day months)</caption>\
      <tr><th>month</th><th>builds</th><th>successful</th><th>success</th></tr>";
   List.iter
     (fun (month, completed, successful, ratio) ->
-      Buffer.add_string buf
-        (Printf.sprintf "<tr><th>%d</th><td>%d</td><td>%d</td><td>%s</td></tr>" month
-           completed successful
-           (html_escape (Statuspage.fmt_ratio ratio))))
+      Buffer.add_string buf "<tr><th>";
+      Buffer.add_string buf (string_of_int month);
+      Buffer.add_string buf "</th>";
+      add_td_int buf completed;
+      add_td_int buf successful;
+      add_td_ratio buf ratio;
+      Buffer.add_string buf "</tr>")
     (Statuspage.monthly_success page);
-  Buffer.add_string buf "</table>";
-  Buffer.contents buf
+  Buffer.add_string buf "</table>"
 
-let confidence_table page =
-  let buf = Buffer.create 2048 in
+let confidence_table buf page =
   Buffer.add_string buf
     "<table><caption>Cluster confidence</caption>\
      <tr><th>cluster</th><th>score</th><th>grade</th></tr>";
   List.iter
     (fun (cluster, score) ->
-      let grade = Confidence.grade score in
       let cls = if score >= 0.9 then "ok" else if score >= 0.5 then "unstable" else "ko" in
-      Buffer.add_string buf
-        (Printf.sprintf "<tr><th>%s</th><td class=\"%s\">%s</td><td>%s</td></tr>"
-           (html_escape cluster) cls
-           (html_escape (Simkit.Table.fmt_pct score))
-           grade))
+      Buffer.add_string buf "<tr><th>";
+      add_escaped buf cluster;
+      Buffer.add_string buf "</th><td class=\"";
+      Buffer.add_string buf cls;
+      Buffer.add_string buf "\">";
+      add_escaped buf (Simkit.Table.fmt_pct score);
+      Buffer.add_string buf "</td><td>";
+      Buffer.add_string buf (Confidence.grade score);
+      Buffer.add_string buf "</td></tr>")
     (Confidence.ranking page);
-  Buffer.add_string buf "</table>";
+  Buffer.add_string buf "</table>"
+
+(* ---- the renderer --------------------------------------------------------- *)
+
+type t = {
+  page : Statuspage.t;
+  buf : Buffer.t;  (* the page being written, reused across renders *)
+  scratch : Buffer.t;  (* a cell section being written *)
+  (* The matrix and confidence sections read only the latest cells, so
+     they are kept as text stamped with the page's [cells_generation]. *)
+  mutable cells_gen : int;  (* -1 = nothing rendered yet *)
+  mutable matrix : string;
+  mutable confidence : string;
+}
+
+let create page =
+  {
+    page;
+    buf = Buffer.create 16384;
+    scratch = Buffer.create 8192;
+    cells_gen = -1;
+    matrix = "";
+    confidence = "";
+  }
+
+let section t write =
+  Buffer.clear t.scratch;
+  write t.scratch t.page;
+  Buffer.contents t.scratch
+
+let refresh t =
+  let gen = Statuspage.cells_generation t.page in
+  if t.cells_gen <> gen then begin
+    t.matrix <- section t matrix_table;
+    t.confidence <- section t confidence_table;
+    t.cells_gen <- gen
+  end;
+  let buf = t.buf in
+  Buffer.clear buf;
+  Buffer.add_string buf head;
+  Buffer.add_string buf t.matrix;
+  Buffer.add_char buf '\n';
+  summary_table buf t.page;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf t.confidence;
+  Buffer.add_char buf '\n';
+  history_table buf t.page;
+  Buffer.add_string buf "\n</body></html>";
   Buffer.contents buf
 
-let render page =
-  String.concat "\n"
-    [ "<!DOCTYPE html><html><head><meta charset=\"utf-8\">";
-      "<title>Grid'5000 testing status</title>"; style; "</head><body>";
-      "<h1>Testbed testing status</h1>"; matrix_table page; summary_table page;
-      confidence_table page; history_table page; "</body></html>" ]
+let render page = refresh (create page)

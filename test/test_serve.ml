@@ -257,6 +257,59 @@ let test_campaign_crash_drill_byte_identity () =
     uncrashed.Framework.Campaign.statuspage_html
     crashed.Framework.Campaign.statuspage_html
 
+(* The served page is the sectioned renderer's output: at sampled
+   instants of a campaign (crash drill included) a fresh read carries
+   exactly what a fresh [Webstatus.render] of the page produces.  The
+   sampled reads go through admission like any other, so the counters
+   below are those of this exact schedule; they were recorded with the
+   whole-page renderer and pin that the section caches and the
+   allocation-free read path changed no outcome. *)
+let test_served_body_equals_render () =
+  let sim =
+    Framework.Campaign.prepare
+      { serve_campaign_base with
+        Framework.Campaign.infra_faults =
+          [ (10.0 *. Simkit.Calendar.day, Testbed.Faults.Serve_crash) ];
+      }
+  in
+  let engine = Framework.Campaign.sim_engine sim
+  and page = Framework.Campaign.sim_page sim in
+  let serve =
+    match Framework.Campaign.sim_serve sim with
+    | Some serve -> serve
+    | None -> Alcotest.fail "serve not attached"
+  in
+  let horizon = Framework.Campaign.sim_horizon sim in
+  let step = (7.0 *. Simkit.Calendar.hour) +. (13.0 *. 60.0) in
+  let compared = ref 0 in
+  let rec sample at =
+    if at <= horizon then begin
+      Simkit.Engine.run_until engine at;
+      (if Framework.Serve.mode serve = Framework.Serve.Fresh then
+         match Framework.Serve.read serve () with
+         | Framework.Serve.Page { body; mode = Framework.Serve.Fresh; _ } ->
+           checks "served body is a fresh render" (Framework.Webstatus.render page) body;
+           incr compared
+         | _ -> ());
+      sample (at +. step)
+    end
+  in
+  sample step;
+  Simkit.Engine.run_until engine horizon;
+  let s = Framework.Serve.summary serve in
+  checki "the drill crashed the service once" 1 s.Framework.Serve.crashes;
+  checkb "most samples were fresh reads" true (!compared >= 80);
+  checkb "conservation" true (conserved s);
+  List.iter
+    (fun (name, expected, actual) -> checki name expected actual)
+    [ ("reads", 6948272, s.Framework.Serve.reads);
+      ("fresh", 2310230, s.Framework.Serve.fresh);
+      ("not_modified", 2829032, s.Framework.Serve.not_modified);
+      ("stale", 0, s.Framework.Serve.stale);
+      ("fallback", 439899, s.Framework.Serve.fallback);
+      ("shed", 1369111, s.Framework.Serve.shed);
+      ("renders", 6203, s.Framework.Serve.renders) ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -278,5 +331,7 @@ let () =
             test_campaign_serve_off_byte_identical;
           Alcotest.test_case "conservation" `Slow test_campaign_serve_conservation;
           Alcotest.test_case "crash drill byte-identity" `Slow
-            test_campaign_crash_drill_byte_identity ] );
+            test_campaign_crash_drill_byte_identity;
+          Alcotest.test_case "served body equals a fresh render" `Slow
+            test_served_body_equals_render ] );
     ]

@@ -304,6 +304,70 @@ let test_cluster_score_matches_oracle () =
         (Framework.Confidence.cluster_score page ~cluster))
     Testbed.Inventory.clusters
 
+(* ---- sectioned rendering vs a fresh render ------------------------------------ *)
+
+(* Everything the cell sections of the page (matrix, confidence) read. *)
+let cell_views page =
+  ( List.map
+      (fun family ->
+        List.map
+          (fun site -> Framework.Statuspage.site_status page ~family ~site)
+          Testbed.Inventory.sites)
+      Framework.Testdef.all_families,
+    Framework.Confidence.ranking page )
+
+(* Each test draws a small pool of configurations, so completions keep
+   landing on scopes that already have a cell and flip their value.  A
+   step completes one pool configuration (a day apart, so the history
+   spans months), or (first component 0) wipes the page and replays the
+   journal as the serving layer's crash recovery does, checking the
+   wiped page before the replay too. *)
+let prop_renderer_matches_fresh_render =
+  QCheck.Test.make ~count:100
+    ~name:"a long-lived renderer equals a fresh render; cell views move only with cells_generation"
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 1 6) (int_bound (Array.length all_configs - 1)))
+        (list_of_size (Gen.int_range 1 60)
+           (triple (int_bound 9) small_nat (int_bound (Array.length results - 1)))))
+    (fun (pool, steps) ->
+      let pool = Array.of_list pool in
+      let env = Framework.Env.create ~seed:6030L () in
+      let page = Framework.Statuspage.create env in
+      let renderer = Framework.Webstatus.create page in
+      let seen = ref (Framework.Statuspage.cells_generation page, cell_views page) in
+      let check () =
+        let gen = Framework.Statuspage.cells_generation page
+        and views = cell_views page in
+        let before_gen, before_views = !seen in
+        seen := (gen, views);
+        String.equal (Framework.Webstatus.refresh renderer)
+          (Framework.Webstatus.render page)
+        && (gen <> before_gen || views = before_views)
+      in
+      let rec go journal number = function
+        | [] -> true
+        | (0, _, _) :: rest ->
+          Framework.Statuspage.reset page;
+          check ()
+          && begin
+            List.iter (Framework.Statuspage.apply page) (List.rev journal);
+            check ()
+          end
+          && go journal number rest
+        | (_, config, result) :: rest ->
+          let build =
+            { (config_build ~number
+                 all_configs.(pool.(config mod Array.length pool))
+                 results.(result))
+              with
+              Ci.Build.finished_at = Some (float_of_int number *. Simkit.Calendar.day) }
+          in
+          Framework.Statuspage.apply page build;
+          check () && go (build :: journal) (number + 1) rest
+      in
+      check () && go [] 1 steps)
+
 (* ---- pinned page bytes --------------------------------------------------------- *)
 
 (* [Report.to_json] does not carry the page, so pin its bytes here: the
@@ -402,7 +466,8 @@ let () =
       ( "index",
         [ Qc.to_alcotest prop_site_status_matches_flat_oracle;
           Alcotest.test_case "cluster score matches the expand scan" `Quick
-            test_cluster_score_matches_oracle ] );
+            test_cluster_score_matches_oracle;
+          Qc.to_alcotest prop_renderer_matches_fresh_render ] );
       ( "campaign",
         [ Alcotest.test_case "regression jobs nightly" `Slow
             test_campaign_with_regression_jobs;
