@@ -37,30 +37,36 @@ let value_to_string = function
 let run instance node =
   let now = Testbed.Instance.now instance in
   let host = node.Testbed.Node.host in
-  match Testbed.Refapi.get instance.Testbed.Instance.refapi host with
-  | None ->
-    {
-      host;
-      checked_at = now;
-      mismatches =
-        [ { path = "(document)"; described = "-"; observed = "present";
-            severity = Descriptive } ];
-    }
-  | Some described_doc ->
-    let observed_doc = Ohai.acquire node in
-    let diffs = Simkit.Json.diff described_doc observed_doc in
-    let mismatches =
-      List.map
-        (fun (path, described, observed) ->
-          {
-            path;
-            described = value_to_string described;
-            observed = value_to_string observed;
-            severity = classify path;
-          })
-        diffs
-    in
-    { host; checked_at = now; mismatches }
+  let refapi = instance.Testbed.Instance.refapi in
+  (* A node still on the very hardware its document was described from
+     conforms: [Ohai.acquire] would rebuild that document. *)
+  if Testbed.Refapi.described_from refapi host node.Testbed.Node.actual then
+    { host; checked_at = now; mismatches = [] }
+  else
+    match Testbed.Refapi.get refapi host with
+    | None ->
+      {
+        host;
+        checked_at = now;
+        mismatches =
+          [ { path = "(document)"; described = "-"; observed = "present";
+              severity = Descriptive } ];
+      }
+    | Some described_doc ->
+      let observed_doc = Ohai.acquire node in
+      let diffs = Simkit.Json.diff described_doc observed_doc in
+      let mismatches =
+        List.map
+          (fun (path, described, observed) ->
+            {
+              path;
+              described = value_to_string described;
+              observed = value_to_string observed;
+              severity = classify path;
+            })
+          diffs
+      in
+      { host; checked_at = now; mismatches }
 
 let run_cluster instance cluster =
   Testbed.Instance.nodes_of_cluster instance cluster

@@ -1,7 +1,10 @@
 type interval = { start : float; stop : float; job : int }
 
+(* One mutable cell per host, so [prune] can shorten lists in place. *)
+type slot = { mutable intervals : interval list }
+
 type t = {
-  slots : (string, interval list) Hashtbl.t;
+  slots : (string, slot) Hashtbl.t;
   by_job : (int, string list) Hashtbl.t;
       (* hosts a job has (or had) reservations on, so [release_job]
          touches only those instead of folding over the whole cluster;
@@ -9,12 +12,20 @@ type t = {
          host the job no longer occupies is a no-op) and are dropped on
          [release_job] *)
 }
-(* Interval lists are kept sorted by [start] and non-overlapping. *)
+(* Interval lists are kept sorted by [start] and non-overlapping, so
+   they are sorted by [stop] too, and all starts are distinct. *)
 
 let create () = { slots = Hashtbl.create 1024; by_job = Hashtbl.create 256 }
 
-let get t host = Option.value ~default:[] (Hashtbl.find_opt t.slots host)
-let set t host intervals = Hashtbl.replace t.slots host intervals
+let get t host =
+  match Hashtbl.find t.slots host with
+  | slot -> slot.intervals
+  | exception Not_found -> []
+
+let set t host intervals =
+  match Hashtbl.find t.slots host with
+  | slot -> slot.intervals <- intervals
+  | exception Not_found -> Hashtbl.add t.slots host { intervals }
 
 let overlaps a b = a.start < b.stop && b.start < a.stop
 
@@ -24,11 +35,14 @@ let reserve t ~host ~start ~stop ~job =
   let existing = get t host in
   if List.exists (overlaps interval) existing then
     invalid_arg "Gantt.reserve: overlapping reservation";
-  let sorted =
-    List.sort (fun a b -> compare a.start b.start) (interval :: existing)
+  (* Starts are distinct, so the new interval has exactly one place in
+     the order; only the intervals starting before it are copied. *)
+  let rec insert = function
+    | i :: rest when i.start < start -> i :: insert rest
+    | later -> interval :: later
   in
-  set t host sorted;
-  let hosts = Option.value ~default:[] (Hashtbl.find_opt t.by_job job) in
+  set t host (insert existing);
+  let hosts = try Hashtbl.find t.by_job job with Not_found -> [] in
   if not (List.mem host hosts) then Hashtbl.replace t.by_job job (host :: hosts)
 
 let release t ~host ~job =
@@ -64,10 +78,7 @@ let rec free_over ~start ~stop = function
   | [] -> true
   | i :: rest -> i.start >= stop || (i.stop <= start && free_over ~start ~stop rest)
 
-let is_free t ~host ~start ~stop =
-  match Hashtbl.find t.slots host with
-  | intervals -> free_over ~start ~stop intervals
-  | exception Not_found -> true
+let is_free t ~host ~start ~stop = free_over ~start ~stop (get t host)
 
 let next_free_window t ~host ~after ~duration =
   let intervals = get t host in
@@ -82,15 +93,15 @@ let next_free_window t ~host ~after ~duration =
 
 let reservations t ~host = List.map (fun i -> (i.start, i.stop, i.job)) (get t host)
 
+(* Stops are sorted, so the expired intervals are a prefix; dropping it
+   shares the rest of the list, and a host with nothing expired is left
+   untouched. *)
+let rec drop_expired ~before = function
+  | i :: rest when i.stop < before -> drop_expired ~before rest
+  | live -> live
+
 let prune t ~before =
-  let hosts = Hashtbl.fold (fun host _ acc -> host :: acc) t.slots [] in
-  List.iter
-    (fun host ->
-      let intervals = get t host in
-      (* Only rebuild lists that actually hold expired intervals. *)
-      if List.exists (fun i -> i.stop < before) intervals then
-        set t host (List.filter (fun i -> i.stop >= before) intervals))
-    hosts
+  Hashtbl.iter (fun _ slot -> slot.intervals <- drop_expired ~before slot.intervals) t.slots
 
 let utilisation t ~host ~lo ~hi =
   if hi <= lo then 0.0

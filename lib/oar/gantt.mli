@@ -2,7 +2,13 @@
 
     Each node holds a sorted list of reservations [(start, stop, job)].
     The scheduler queries earliest placements and commits reservations;
-    completed intervals are pruned lazily. *)
+    completed intervals are pruned lazily.
+
+    Cost: the lists are sorted by start and never overlap, so they are
+    sorted by stop too.  {!reserve} inserts in order, copying only the
+    intervals that start earlier; {!is_free} and {!next_free_window}
+    scan without allocating; {!prune} drops each host's expired prefix
+    in place and allocates nothing for a host with nothing expired. *)
 
 type t
 
@@ -31,7 +37,8 @@ val reservations : t -> host:string -> (float * float * int) list
 (** Current reservations, sorted by start. *)
 
 val prune : t -> before:float -> unit
-(** Forget reservations that ended before [before]. *)
+(** Forget reservations that ended before [before].  They are a prefix
+    of each host's list: {!truncate} only shortens or drops intervals. *)
 
 val utilisation : t -> host:string -> lo:float -> hi:float -> float
 (** Fraction of [\[lo, hi\]] covered by reservations. *)

@@ -99,21 +99,22 @@ let matching_hosts_arr t filter =
 
 let matching_hosts t filter = Array.to_list (matching_hosts_arr t filter)
 
+(* [Instance.node] raises rather than boxing an option, so the per-host
+   tests of the placement scans allocate nothing. *)
 let host_usable t host =
-  match Testbed.Instance.find_node t.instance host with
-  | Some node ->
-    node.Testbed.Node.state <> Testbed.Node.Down && Testbed.Node.in_service node
-  | None -> false
+  match Testbed.Instance.node t.instance host with
+  | node -> node.Testbed.Node.state <> Testbed.Node.Down && Testbed.Node.in_service node
+  | exception Not_found -> false
 
 (* Alive, in service (not sidelined by the health loop), and unreserved
    for the next instant. *)
 let host_free_now t ~time host =
-  match Testbed.Instance.find_node t.instance host with
-  | Some node ->
+  match Testbed.Instance.node t.instance host with
+  | node ->
     Testbed.Node.is_available node
     && Testbed.Node.in_service node
     && Gantt.is_free t.gantt ~host ~start:time ~stop:(time +. 1.0)
-  | None -> false
+  | exception Not_found -> false
 
 let free_matching_now t filter =
   let time = now t in
@@ -138,114 +139,136 @@ let free_at_least t filter n =
 
 (* ---- placement --------------------------------------------------------- *)
 
-(* The first [needed] of [hosts], in order, that are free over
-   [\[start, start + duration)]. *)
-let first_free t ~start ~duration ~needed hosts =
-  let stop = start +. duration in
-  let rec take acc taken = function
-    | _ when taken >= needed -> Some (List.rev acc)
-    | [] -> None
-    | h :: rest ->
-      if Gantt.is_free t.gantt ~host:h ~start ~stop then take (h :: acc) (taken + 1) rest
-      else take acc taken rest
-  in
-  take [] 0 hosts
+(* Where one group can go from [after]: its chosen hosts when [count]
+   usable hosts are free at [after] itself, else the earliest later start
+   at which they are.  [place_request] searches again from that later
+   start, where the first case applies, so the hosts a later start would
+   pick are never needed. *)
+type group_placement = At_after of string list | Later of float | Never
 
-(* Earliest time >= after when [n] of [hosts] are simultaneously free for
-   [duration]; also returns the chosen hosts. *)
+(* Whether [needed] of [pool] are free over [\[start, stop)]; stops at
+   the [needed]-th. *)
+let enough_free t ~start ~stop ~needed pool =
+  let len = Array.length pool in
+  let free = ref 0 and i = ref 0 in
+  while !free < needed && !i < len do
+    if Gantt.is_free t.gantt ~host:pool.(!i) ~start ~stop then incr free;
+    incr i
+  done;
+  !free >= needed
+
 let place_group t ~after ~duration ~hosts ~count =
-  let usable = List.filter (host_usable t) hosts in
-  let needed =
-    match count with `N n -> n | `All -> List.length usable
-  in
-  if needed = 0 || List.length usable < needed then None
-  else
-    (* [after] is the earliest candidate of the window search below, a
-       host's next window starts at [after] exactly when it is free from
-       [after], and the window sort is stable: so that search would take
-       the first [needed] usable hosts, in matching order, free at
-       [after].  Try them before building and sorting the windows. *)
-    match first_free t ~start:after ~duration ~needed usable with
-    | Some chosen -> Some (after, chosen)
+  let len = Array.length hosts in
+  let stop = after +. duration in
+  (* One scan: count the usable hosts, and those free at [after] until
+     [needed] are found. *)
+  let wanted = match count with `N n -> n | `All -> max_int in
+  let usable = ref 0 and free = ref 0 and last = ref (-1) and i = ref 0 in
+  while !i < len && !free < wanted do
+    let host = hosts.(!i) in
+    if host_usable t host then begin
+      incr usable;
+      if Gantt.is_free t.gantt ~host ~start:after ~stop then begin
+        incr free;
+        last := !i
+      end
+    end;
+    incr i
+  done;
+  (* The scan stops early only once [wanted] hosts are free, so
+     otherwise [usable] counts every usable host. *)
+  let needed = match count with `N n -> n | `All -> !usable in
+  if needed = 0 || (!free < needed && !usable < needed) then Never
+  else if !free >= needed then begin
+    (* The first [needed] usable hosts free at [after], in matching
+       order: walk back from the last one and allocate only them. *)
+    let chosen = ref [] in
+    for i = !last downto 0 do
+      let host = hosts.(i) in
+      if host_usable t host && Gantt.is_free t.gantt ~host ~start:after ~stop then
+        chosen := host :: !chosen
+    done;
+    At_after !chosen
+  end
+  else begin
+    let pool = Array.make !usable "" in
+    let k = ref 0 in
+    Array.iter
+      (fun host ->
+        if host_usable t host then begin
+          pool.(!k) <- host;
+          incr k
+        end)
+      hosts;
+    let feasible start = enough_free t ~start ~stop:(start +. duration) ~needed pool in
+    (* Candidate starts: each usable host's next free window, ascending
+       and without repeats.  Every window is at or after [after], where
+       fewer than [needed] hosts are free, so [after] itself is skipped. *)
+    let windows =
+      Array.map (fun host -> Gantt.next_free_window t.gantt ~host ~after ~duration) pool
+    in
+    (* Sorting indices keeps the floats unboxed; only the start is kept,
+       so ties may come out in any order. *)
+    let order = Array.init !usable Fun.id in
+    Array.sort (fun a b -> Float.compare windows.(a) windows.(b)) order;
+    let rec earliest k previous =
+      if k >= !usable then None
+      else
+        let start = windows.(order.(k)) in
+        if Float.equal start previous || not (feasible start) then earliest (k + 1) start
+        else Some start
+    in
+    match earliest 0 after with
+    | Some start -> Later start
     | None ->
-      let windows =
-        List.map (fun h -> (h, Gantt.next_free_window t.gantt ~host:h ~after ~duration)) usable
-        (* Earliest-available hosts first, so the early-exit scan below
-           finds small placements without touching the whole pool. *)
-        |> List.sort (fun (_, a) (_, b) -> Float.compare a b)
+      (* All candidate instants collide with reservations that start
+         later; fall back to the time when everything is drained. *)
+      let horizon =
+        Array.fold_left
+          (fun acc host ->
+            List.fold_left
+              (fun acc (_, stop, _) -> Float.max acc stop)
+              acc (Gantt.reservations t.gantt ~host))
+          after pool
       in
-      let by_window = List.map fst windows in
-      (* Candidate start instants: each host's next window start. *)
-      let candidates =
-        List.sort_uniq Float.compare (after :: List.map snd windows)
-      in
-      let feasible_at start = first_free t ~start ~duration ~needed by_window in
-      let rec try_candidates = function
-        | [] -> None
-        | start :: rest -> (
-          match feasible_at start with
-          | Some chosen -> Some (start, chosen)
-          | None -> try_candidates rest)
-      in
-      match try_candidates candidates with
-      | Some placement -> Some placement
-      | None ->
-        (* All candidate instants collide with reservations that start
-           later; fall back to the time when everything is drained. *)
-        let horizon =
-          List.fold_left
-            (fun acc h ->
-              let reservations = Gantt.reservations t.gantt ~host:h in
-              List.fold_left (fun acc (_, stop, _) -> Float.max acc stop) acc reservations)
-            after by_window
-        in
-        (match feasible_at horizon with
-         | Some chosen -> Some (horizon, chosen)
-         | None -> None)
+      if feasible horizon then Later horizon else Never
+  end
 
 (* Find a common start for all groups of a request (fixpoint search). *)
 let place_request t ~after request =
   let groups =
     List.map
-      (fun g -> (g, matching_hosts t g.Request.filter))
+      (fun g -> (g.Request.count, matching_hosts_arr t g.Request.filter))
       request.Request.groups
   in
-  if List.exists (fun (_, hosts) -> hosts = []) groups then None
+  if List.exists (fun (_, hosts) -> Array.length hosts = 0) groups then None
   else begin
     let duration = request.Request.walltime in
+    (* One group's chosen hosts are distinct by construction; only
+       overlapping filters of several groups can pick a host twice. *)
+    let single = match groups with [ _ ] -> true | _ -> false in
     let rec search start attempts =
-      if attempts > 30 then None
-      else begin
-        (* Propose each group's earliest placement from [start]; if they
-           all agree on [start], check disjointness and commit. *)
-        let placements =
-          List.map
-            (fun (g, hosts) ->
-              place_group t ~after:start ~duration ~hosts ~count:g.Request.count)
-            groups
-        in
-        if List.exists (fun p -> p = None) placements then None
-        else begin
-          let placements = List.filter_map Fun.id placements in
-          let latest =
-            List.fold_left (fun acc (s, _) -> Float.max acc s) start placements
+      (* Propose each group's earliest placement from [start]; if they
+         all agree on [start], check disjointness and commit. *)
+      let rec propose chosen latest = function
+        | (count, hosts) :: rest -> (
+          match place_group t ~after:start ~duration ~hosts ~count with
+          | Never -> None
+          | Later s -> propose chosen (Float.max latest s) rest
+          | At_after hosts -> propose (hosts :: chosen) latest rest)
+        | [] when latest > start -> search latest (attempts + 1)
+        | [] ->
+          let all_hosts = List.concat (List.rev chosen) in
+          let distinct () =
+            List.length (List.sort_uniq String.compare all_hosts) = List.length all_hosts
           in
-          if latest > start then search latest (attempts + 1)
-          else begin
-            (* Same start everywhere; ensure no host double-assigned
-               across groups. *)
-            let all_hosts = List.concat_map snd placements in
-            let distinct = List.sort_uniq String.compare all_hosts in
-            if List.length distinct = List.length all_hosts then
-              Some (start, all_hosts)
-            else begin
-              (* Conflicting groups (overlapping filters): nudge forward
-                 to break the tie on busy hosts. *)
-              search (start +. 60.0) (attempts + 1)
-            end
-          end
-        end
-      end
+          if single || distinct () then Some (start, all_hosts)
+          else
+            (* Conflicting groups (overlapping filters): nudge forward
+               to break the tie on busy hosts. *)
+            search (start +. 60.0) (attempts + 1)
+      in
+      if attempts > 30 then None else propose [] start groups
     in
     search after 0
   end
@@ -377,49 +400,46 @@ let submit t ?(user = "anon") ?(jtype = Job.Default) ?duration ?(immediate = fal
   in
   if not site_ok then Error Service_unavailable
   else begin
-    let duration = Option.value ~default:request.Request.walltime duration in
-    let job =
-      {
-        Job.id = t.next_id;
-        user;
-        jtype;
-        request;
-        submitted_at = now t;
-        duration;
-        state = Job.Waiting;
-        assigned = [];
-        scheduled_start = nan;
-        started_at = None;
-        ended_at = None;
-      }
-    in
     (* Cheap sanity check first: every group must match at least one
        usable host; the real placement happens in [schedule_pass]. *)
     let matchable =
       List.for_all
-        (fun g -> List.exists (host_usable t) (matching_hosts t g.Request.filter))
+        (fun g -> Array.exists (host_usable t) (matching_hosts_arr t g.Request.filter))
         request.Request.groups
     in
-    if not matchable then Error No_matching_resource
-    else if immediate then begin
-      match place_request t ~after:(now t) request with
-      | None -> Error No_matching_resource
-      | Some (start, _) when start > now t +. 1.0 ->
-        Error (Not_immediately_schedulable start)
-      | Some _ ->
-        t.next_id <- t.next_id + 1;
-        Hashtbl.replace t.jobs job.Job.id job;
-        t.queue <- t.queue @ [ job.Job.id ];
-        schedule_pass t;
-        Ok job
-    end
-    else begin
+    let admitted =
+      if not matchable then Error No_matching_resource
+      else if not immediate then Ok ()
+      else
+        match place_request t ~after:(now t) request with
+        | None -> Error No_matching_resource
+        | Some (start, _) when start > now t +. 1.0 ->
+          Error (Not_immediately_schedulable start)
+        | Some _ -> Ok ()
+    in
+    match admitted with
+    | Error e -> Error e
+    | Ok () ->
+      let job =
+        {
+          Job.id = t.next_id;
+          user;
+          jtype;
+          request;
+          submitted_at = now t;
+          duration = Option.value ~default:request.Request.walltime duration;
+          state = Job.Waiting;
+          assigned = [];
+          scheduled_start = nan;
+          started_at = None;
+          ended_at = None;
+        }
+      in
       t.next_id <- t.next_id + 1;
       Hashtbl.replace t.jobs job.Job.id job;
       t.queue <- t.queue @ [ job.Job.id ];
       schedule_pass t;
       Ok job
-    end
   end
 
 let submit_at t ?(user = "anon") ?(jtype = Job.Default) ?duration ~start request =

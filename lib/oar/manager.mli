@@ -42,7 +42,13 @@ val submit :
   (Job.t, submit_error) result
 (** [duration] defaults to the request's walltime.  The result job is
     {!Job.Waiting} or {!Job.Scheduled}; progression to Running/Terminated
-    happens through engine events. *)
+    happens through engine events.
+
+    Cost: placement scans each group's memoised host array.  When
+    enough usable hosts are free now, it allocates only the chosen
+    list; otherwise it sorts the usable hosts by next free window to find
+    the earliest later start, and searches again from there.  A
+    single-group request skips the disjointness check. *)
 
 val submit_at :
   t ->

@@ -21,9 +21,30 @@ type t = {
   prof : profile;
   mutable running : bool;
   mutable count : int;
-  in_flight : (string, int) Hashtbl.t;  (* cluster -> queued+running jobs *)
-  job_cluster : (int, string) Hashtbl.t;
+  in_flight : int array;  (* cluster index -> queued+running jobs *)
+  job_cluster : (int, int) Hashtbl.t;  (* job id -> cluster index *)
 }
+
+(* Everything a request depends on that the inventory fixes, built once
+   at module initialisation and never mutated (so domains may share
+   it): cluster [i] is [Inventory.clusters]'s [i]-th, which is Zipf
+   rank [i + 1]. *)
+let clusters = Array.of_list Testbed.Inventory.clusters
+
+let filters =
+  Array.map
+    (fun spec -> Expr.parse_exn (Printf.sprintf "cluster='%s'" spec.Testbed.Inventory.cluster))
+    clusters
+
+(* Users stop piling onto a saturated cluster: the backlog they tolerate
+   is bounded, which keeps the simulated queue (and the scheduler's Gantt)
+   from growing without bound on popular clusters. *)
+let backlog_limits =
+  Array.map (fun spec -> Stdlib.max 8 spec.Testbed.Inventory.nodes) clusters
+
+(* Zipf-weighted popularity: a few clusters absorb most jobs, which is
+   what makes whole-cluster availability rare there. *)
+let popularity = Simkit.Dist.zipf_table ~n:(Array.length clusters) ~s:1.1
 
 let scale prof factor =
   if not (factor > 0.0) then invalid_arg "Workload.scale: factor must be positive";
@@ -37,27 +58,9 @@ let profile t = t.prof
 let submitted t = t.count
 let stop t = t.running <- false
 
-let pick_cluster rng =
-  (* Zipf-weighted popularity: a few clusters absorb most jobs, which is
-     what makes whole-cluster availability rare there. *)
-  let n = List.length Testbed.Inventory.clusters in
-  let rank = Simkit.Dist.zipf rng ~n ~s:1.1 in
-  (List.nth Testbed.Inventory.clusters (rank - 1)).Testbed.Inventory.cluster
-
-(* Users stop piling onto a saturated cluster: the backlog they tolerate
-   is bounded, which keeps the simulated queue (and the scheduler's Gantt)
-   from growing without bound on popular clusters. *)
-let backlog_limit cluster =
-  match Testbed.Inventory.find_cluster cluster with
-  | Some spec -> Stdlib.max 8 spec.Testbed.Inventory.nodes
-  | None -> 8
-
-let in_flight t cluster = Option.value ~default:0 (Hashtbl.find_opt t.in_flight cluster)
-
 let make_request t =
   let rng = t.rng in
-  let cluster = pick_cluster rng in
-  let filter = Printf.sprintf "cluster='%s'" cluster in
+  let cluster = Simkit.Dist.zipf_sample rng popularity - 1 in
   let walltime =
     (* Median ~1.5 h with a heavy tail capped at 24 h. *)
     Float.min (24.0 *. 3600.0)
@@ -70,7 +73,9 @@ let make_request t =
     else if u < 0.95 then `N (Simkit.Prng.int_in rng 5 16)
     else `N (Simkit.Prng.int_in rng 17 40)
   in
-  let request = Request.nodes ~filter count ~walltime in
+  let request =
+    { Request.groups = [ { Request.filter = filters.(cluster); count } ]; walltime }
+  in
   let duration = walltime *. (0.3 +. (0.7 *. Simkit.Prng.float rng)) in
   (cluster, request, duration)
 
@@ -83,14 +88,14 @@ let rate_at prof time =
 let start ?(profile = default_profile) ~rng manager =
   let t =
     { manager; rng; prof = profile; running = true; count = 0;
-      in_flight = Hashtbl.create 64; job_cluster = Hashtbl.create 256 }
+      in_flight = Array.make (Array.length clusters) 0; job_cluster = Hashtbl.create 256 }
   in
   Manager.on_job_end manager (fun job ->
-      match Hashtbl.find_opt t.job_cluster job.Job.id with
-      | Some cluster ->
+      match Hashtbl.find t.job_cluster job.Job.id with
+      | cluster ->
         Hashtbl.remove t.job_cluster job.Job.id;
-        Hashtbl.replace t.in_flight cluster (Stdlib.max 0 (in_flight t cluster - 1))
-      | None -> ());
+        t.in_flight.(cluster) <- Stdlib.max 0 (t.in_flight.(cluster) - 1)
+      | exception Not_found -> ());
   let engine = (Manager.instance manager).Testbed.Instance.engine in
   let peak_rate = profile.base_rate_per_hour /. 3600.0 *. profile.peak_multiplier in
   (* Thinning (Lewis-Shedler) for the non-homogeneous Poisson process. *)
@@ -103,7 +108,7 @@ let start ?(profile = default_profile) ~rng manager =
              if t.running then begin
                if Simkit.Prng.chance t.rng (rate_at t.prof time /. peak_rate) then begin
                  let cluster, request, duration = make_request t in
-                 if in_flight t cluster < backlog_limit cluster then begin
+                 if t.in_flight.(cluster) < backlog_limits.(cluster) then begin
                    let user =
                      Printf.sprintf "user%03d" (Simkit.Prng.int t.rng t.prof.users)
                    in
@@ -114,7 +119,7 @@ let start ?(profile = default_profile) ~rng manager =
                    | Ok job ->
                      t.count <- t.count + 1;
                      Hashtbl.replace t.job_cluster job.Job.id cluster;
-                     Hashtbl.replace t.in_flight cluster (in_flight t cluster + 1)
+                     t.in_flight.(cluster) <- t.in_flight.(cluster) + 1
                    | Error _ -> ()
                  end
                end;

@@ -83,18 +83,34 @@ let rec mean t =
     let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted in
     List.fold_left (fun acc (w, d) -> acc +. (w /. total *. mean d)) 0.0 weighted
 
-let zipf rng ~n ~s =
+type zipf_table = float array
+
+let zipf_table ~n ~s =
   if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
-  let weights = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** s)) in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  let target = Prng.float rng *. total in
-  let rec pick i acc =
-    if i >= n - 1 then n
-    else
-      let acc = acc +. weights.(i) in
-      if acc >= target then i + 1 else pick (i + 1) acc
-  in
-  pick 0 0.0
+  (* Prefix sums of the weights, accumulated left to right; the last
+     entry is the total. *)
+  let cdf = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  for i = 0 to n - 1 do
+    acc := !acc +. (1.0 /. (float_of_int (i + 1) ** s));
+    cdf.(i) <- !acc
+  done;
+  cdf
+
+let zipf_sample rng cdf =
+  let n = Array.length cdf in
+  let target = Prng.float rng *. cdf.(n - 1) in
+  (* Smallest [i < n - 1] with [cdf.(i) >= target], else [n - 1]: the
+     first rank whose cumulative weight reaches the target.  The sums
+     never decrease, so a binary search finds it. *)
+  let lo = ref 0 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cdf.(mid) >= target then hi := mid else lo := mid + 1
+  done;
+  !lo + 1
+
+let zipf rng ~n ~s = zipf_sample rng (zipf_table ~n ~s)
 
 let poisson rng ~mean =
   if mean <= 0.0 then 0

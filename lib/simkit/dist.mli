@@ -32,7 +32,22 @@ val normal : Prng.t -> mu:float -> sigma:float -> float
 
 val zipf : Prng.t -> n:int -> s:float -> int
 (** Zipf-distributed rank in [\[1, n\]] with exponent [s] (by inversion on
-    the exact CDF; [n] is expected to be modest, e.g. cluster counts). *)
+    the exact CDF; [n] is expected to be modest, e.g. cluster counts).
+    [zipf rng ~n ~s] is [zipf_sample rng (zipf_table ~n ~s)]. *)
+
+type zipf_table
+(** The cumulative weights of a Zipf distribution, immutable once built
+    (safe to share across domains). *)
+
+val zipf_table : n:int -> s:float -> zipf_table
+(** Cost: [n] calls to [**] and one [n]-float array.  Build it once per
+    [(n, s)] when sampling repeatedly.
+    @raise Invalid_argument when [n <= 0]. *)
+
+val zipf_sample : Prng.t -> zipf_table -> int
+(** One rank, drawing exactly one {!Prng.float} like {!zipf} and
+    returning the same rank for the same draw.  O(log n), allocates
+    nothing. *)
 
 val poisson : Prng.t -> mean:float -> int
 (** Poisson-distributed count (Knuth for small means, normal approximation

@@ -1,10 +1,15 @@
 type t = {
   docs : (string, Simkit.Json.t) Hashtbl.t;
+  sources : (string, Hardware.t) Hashtbl.t;
+      (* host -> the reference hardware its current document was
+         described from; absent once the document is corrupted *)
   mutable current_version : int;
   mutable snapshots : (int * float * (string * Simkit.Json.t) list) list;
 }
 
-let create () = { docs = Hashtbl.create 1024; current_version = 0; snapshots = [] }
+let create () =
+  { docs = Hashtbl.create 1024; sources = Hashtbl.create 1024; current_version = 0;
+    snapshots = [] }
 
 let describe node =
   let open Simkit.Json in
@@ -15,7 +20,14 @@ let describe node =
       ("index", Int node.Node.index);
       ("hardware", Hardware.to_json node.Node.reference) ]
 
-let publish_node t node = Hashtbl.replace t.docs node.Node.host (describe node)
+let publish_node t node =
+  Hashtbl.replace t.docs node.Node.host (describe node);
+  Hashtbl.replace t.sources node.Node.host node.Node.reference
+
+let described_from t host hw =
+  match Hashtbl.find t.sources host with
+  | source -> source == hw
+  | exception Not_found -> false
 
 let publish_all t ~now nodes =
   List.iter (publish_node t) nodes;
@@ -75,6 +87,7 @@ let corrupt t ~rng ~host =
           "hyperthreading flag wrong in description" )
     in
     Hashtbl.replace t.docs host doc;
+    Hashtbl.remove t.sources host;
     Some what
 
 let hosts t =

@@ -17,7 +17,18 @@ val describe : Node.t -> Simkit.Json.t
     identity and network cabling-free fields. *)
 
 val publish_node : t -> Node.t -> unit
-(** Refresh one node's published document from its reference hardware. *)
+(** Refresh one node's published document from its reference hardware,
+    and record that hardware as the document's source. *)
+
+val described_from : t -> string -> Hardware.t -> bool
+(** [described_from t host hw]: the host's current document was built by
+    {!describe} from [hw] itself (physical [==]) and has not been
+    corrupted since.  Then {!describe} of a node with that host, whose
+    hardware is [hw], is structurally equal to that document: a check
+    may skip building and diffing it.  {!corrupt} drops the source,
+    because a corrupted document no longer describes it.  Cost: one
+    hash lookup, no allocation; the table holds one pointer per host
+    and no documents. *)
 
 val publish_all : t -> now:float -> Node.t list -> unit
 (** Re-publish every node and archive a new version. *)

@@ -300,6 +300,86 @@ let prop_gantt_no_overlap =
       in
       no_overlap sorted)
 
+(* The Gantt before its insert and prune stopped sorting and filtering:
+   per host, [(start, stop, job)] kept sorted by [List.sort] on every
+   reservation, and pruned by [List.filter] over the whole list. *)
+type gantt_op =
+  | Reserve of int * int * int * int  (* host, start, length, job *)
+  | Truncate of int * int * int  (* host, job, stop *)
+  | Release of int * int  (* host, job *)
+  | Release_job of int
+  | Prune of int  (* before *)
+
+let show_gantt_op = function
+  | Reserve (h, s, l, j) -> Printf.sprintf "reserve h%d [%d,+%d) j%d" h s l j
+  | Truncate (h, j, s) -> Printf.sprintf "truncate h%d j%d at %d" h j s
+  | Release (h, j) -> Printf.sprintf "release h%d j%d" h j
+  | Release_job j -> Printf.sprintf "release_job j%d" j
+  | Prune b -> Printf.sprintf "prune before %d" b
+
+let prop_gantt_matches_list_model =
+  let hosts = 3 and jobs = 5 in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [ (6, map (fun (h, s, l, j) -> Reserve (h, s, l, j))
+                (quad (int_bound (hosts - 1)) (int_bound 100) (int_range 1 20)
+                   (int_range 1 jobs)));
+          (2, map3 (fun h j s -> Truncate (h, j, s)) (int_bound (hosts - 1))
+                (int_range 1 jobs) (int_bound 120));
+          (1, map2 (fun h j -> Release (h, j)) (int_bound (hosts - 1)) (int_range 1 jobs));
+          (1, map (fun j -> Release_job j) (int_range 1 jobs));
+          (2, map (fun b -> Prune b) (int_bound 120)) ])
+  in
+  let print ops = String.concat "; " (List.map show_gantt_op ops) in
+  QCheck.Test.make ~name:"gantt matches the sort-and-filter list model" ~count:300
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 60) gen_op))
+    (fun ops ->
+      let g = Oar.Gantt.create () in
+      let model = Array.make hosts [] in
+      let host h = Printf.sprintf "h%d" h in
+      let apply = function
+        | Reserve (h, start, length, job) ->
+          let start = float_of_int start and stop = float_of_int (start + length) in
+          if List.for_all (fun (s, e, _) -> e <= start || stop <= s) model.(h) then begin
+            Oar.Gantt.reserve g ~host:(host h) ~start ~stop ~job;
+            model.(h) <-
+              List.sort
+                (fun (a, _, _) (b, _, _) -> compare a b)
+                ((start, stop, job) :: model.(h))
+          end
+        | Truncate (h, job, stop) ->
+          let stop = float_of_int stop in
+          Oar.Gantt.truncate g ~host:(host h) ~job ~stop;
+          model.(h) <-
+            List.filter_map
+              (fun ((s, e, j) as i) ->
+                if j <> job then Some i else if stop <= s then None
+                else Some (s, Float.min e stop, j))
+              model.(h)
+        | Release (h, job) ->
+          Oar.Gantt.release g ~host:(host h) ~job;
+          model.(h) <- List.filter (fun (_, _, j) -> j <> job) model.(h)
+        | Release_job job ->
+          Oar.Gantt.release_job g ~job;
+          Array.iteri
+            (fun h l -> model.(h) <- List.filter (fun (_, _, j) -> j <> job) l)
+            model
+        | Prune before ->
+          let before = float_of_int before in
+          Oar.Gantt.prune g ~before;
+          Array.iteri
+            (fun h l -> model.(h) <- List.filter (fun (_, e, _) -> e >= before) l)
+            model
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          List.for_all
+            (fun h -> Oar.Gantt.reservations g ~host:(host h) = model.(h))
+            (List.init hosts Fun.id))
+        ops)
+
 (* ---- Properties --------------------------------------------------------------- *)
 
 let test_properties_populated () =
@@ -549,7 +629,8 @@ let () =
           Alcotest.test_case "next free window" `Quick test_gantt_next_free_window;
           Alcotest.test_case "release and truncate" `Quick test_gantt_release_and_truncate;
           Alcotest.test_case "utilisation" `Quick test_gantt_utilisation;
-          qc prop_gantt_no_overlap ] );
+          qc prop_gantt_no_overlap;
+          qc prop_gantt_matches_list_model ] );
       ( "properties",
         [ Alcotest.test_case "populated" `Quick test_properties_populated;
           Alcotest.test_case "follow refapi" `Quick test_properties_follow_refapi ] );

@@ -451,6 +451,139 @@ let prop_place_at_now =
           | _ -> false)
         probes)
 
+(* [Manager.place_request]'s fixpoint over several groups, with its
+   [sort_uniq] disjointness check: [groups] pairs each group's usable
+   matching hosts (in matching order) with its count. *)
+let oracle_place_request gantt ~after ~duration groups =
+  let rec search start attempts =
+    if attempts > 30 then None
+    else
+      let placements =
+        List.map
+          (fun (usable, count) ->
+            oracle_place_group gantt ~after:start ~duration ~usable ~count)
+          groups
+      in
+      if List.exists Option.is_none placements then None
+      else begin
+        let placements = List.filter_map Fun.id placements in
+        let latest = List.fold_left (fun acc (s, _) -> Float.max acc s) start placements in
+        if latest > start then search latest (attempts + 1)
+        else
+          let all_hosts = List.concat_map snd placements in
+          if List.length (List.sort_uniq String.compare all_hosts) = List.length all_hosts
+          then Some (start, all_hosts)
+          else search (start +. 60.0) (attempts + 1)
+      end
+  in
+  search after 0
+
+(* Saturated Gantts (the search past [after], hosts tied on their next
+   window because one job reserved them together, and the drained-horizon
+   fallback), down hosts under [`All], and two-group requests whose
+   filters overlap, placed at [now] and in the future. *)
+let prop_place_saturated =
+  let cluster = "grimoire" and n_hosts = 8 in
+  let host i = Printf.sprintf "%s-%d.nancy" cluster i in
+  let any_of ids =
+    String.concat " or " (List.map (fun i -> Printf.sprintf "host='%s'" (host i)) ids)
+  in
+  let filters =
+    [| Printf.sprintf "cluster='%s'" cluster; any_of [ 1; 2; 3 ]; any_of [ 3; 4; 5; 6 ];
+       any_of [ 2; 7; 8 ] |]
+  in
+  let gen_group =
+    QCheck.Gen.(pair (int_bound (Array.length filters - 1)) (gen_count 4))
+  in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_bound 2) (int_bound (n_hosts - 1)))
+        (list_size (int_range 4 24)
+           (triple (int_bound 12) (int_range 1 8) (gen_count n_hosts)))
+        (list_size (int_range 1 6)
+           (triple bool (int_range 1 8) (list_size (int_range 1 2) gen_group))))
+  in
+  let print (down, reservations, probes) =
+    Printf.sprintf "down [%s]; reserve [%s]; probe [%s]"
+      (String.concat "," (List.map string_of_int down))
+      (String.concat "; "
+         (List.map
+            (fun (s, w, c) -> Printf.sprintf "at %d0min for %d0min %s" s w (show_count c))
+            reservations))
+      (String.concat "; "
+         (List.map
+            (fun (immediate, w, groups) ->
+              Printf.sprintf "%s%d0min %s"
+                (if immediate then "now " else "")
+                w
+                (String.concat "+"
+                   (List.map (fun (f, c) -> Printf.sprintf "f%d/%s" f (show_count c)) groups)))
+            probes))
+  in
+  QCheck.Test.make ~name:"saturated and multi-group placement matches the fixpoint" ~count:200
+    (QCheck.make ~print gen)
+    (fun (down, reservations, probes) ->
+      let instance, oar = mk () in
+      let nodes = Testbed.Instance.nodes_of_cluster instance cluster in
+      List.iter
+        (fun i -> (List.nth nodes i).Testbed.Node.state <- Testbed.Node.Down)
+        down;
+      let gantt = Oar.Gantt.create () in
+      let record job =
+        let start = job.Oar.Job.scheduled_start in
+        List.iter
+          (fun host ->
+            Oar.Gantt.reserve gantt ~host ~start
+              ~stop:(start +. job.Oar.Job.request.Oar.Request.walltime)
+              ~job:job.Oar.Job.id)
+          job.Oar.Job.assigned
+      in
+      List.iter
+        (fun (slot, length, count) ->
+          match
+            Oar.Manager.submit_at oar ~start:(600.0 *. float_of_int slot)
+              (Oar.Request.nodes ~filter:filters.(0) count
+                 ~walltime:(600.0 *. float_of_int length))
+          with
+          | Ok job -> record job
+          | Error _ -> ())
+        reservations;
+      let usable filter =
+        List.filter
+          (fun host ->
+            let node = Testbed.Instance.node instance host in
+            node.Testbed.Node.state <> Testbed.Node.Down && Testbed.Node.in_service node)
+          (Oar.Manager.matching_hosts oar filter)
+      in
+      List.for_all
+        (fun (immediate, length, groups) ->
+          let walltime = 600.0 *. float_of_int length in
+          let groups =
+            List.map (fun (f, count) -> (Oar.Expr.parse_exn filters.(f), count)) groups
+          in
+          let request =
+            { Oar.Request.groups =
+                List.map (fun (filter, count) -> { Oar.Request.filter; count }) groups;
+              walltime }
+          in
+          let expected =
+            oracle_place_request gantt ~after:0.0 ~duration:walltime
+              (List.map (fun (filter, count) -> (usable filter, count)) groups)
+          in
+          match (Oar.Manager.submit oar ~immediate request, expected) with
+          | Error Oar.Manager.No_matching_resource, None -> true
+          | Error (Oar.Manager.Not_immediately_schedulable at), Some (start, _) ->
+            immediate && start > 1.0 && at = start
+          | Ok job, None -> (not immediate) && job.Oar.Job.state = Oar.Job.Error
+          | Ok job, Some (start, hosts) ->
+            record job;
+            ((not immediate) || start <= 1.0)
+            && job.Oar.Job.scheduled_start = start
+            && job.Oar.Job.assigned = hosts
+          | _ -> false)
+        probes)
+
 (* ---- exact-host requests ------------------------------------------------------------ *)
 
 let test_exact_host_reservation () =
@@ -519,7 +652,8 @@ let () =
           Alcotest.test_case "cache invalidation" `Quick
             test_filter_cache_invalidated_on_refresh;
           Qc.to_alcotest prop_incremental_refresh;
-          Qc.to_alcotest prop_place_at_now ] );
+          Qc.to_alcotest prop_place_at_now;
+          Qc.to_alcotest prop_place_saturated ] );
       ( "workload",
         [ Alcotest.test_case "diurnal profile" `Slow test_workload_respects_diurnal_profile;
           Alcotest.test_case "accounting integration" `Slow test_accounting_under_workload ] );

@@ -144,6 +144,35 @@ let test_zipf_skew () =
   done;
   checkb "rank 1 much more likely than rank 10" true (!first > 4 * !last)
 
+(* The per-call inversion [Dist.zipf] used before the cumulative table:
+   weights rebuilt and summed on every draw, then a left-to-right scan. *)
+let oracle_zipf rng ~n ~s =
+  let weights = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** s)) in
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  let target = Simkit.Prng.float rng *. total in
+  let rec pick i acc =
+    if i >= n - 1 then n
+    else
+      let acc = acc +. weights.(i) in
+      if acc >= target then i + 1 else pick (i + 1) acc
+  in
+  pick 0 0.0
+
+let prop_zipf_table_matches_per_call =
+  QCheck.Test.make ~name:"zipf table draws the per-call ranks" ~count:300
+    QCheck.(triple (int_range 1 64) (float_range 0.5 2.0) int64)
+    (fun (n, s, seed) ->
+      let table = Simkit.Dist.zipf_table ~n ~s in
+      let fast = Simkit.Prng.create seed and slow = Simkit.Prng.create seed in
+      let same_ranks =
+        List.for_all
+          (fun _ -> Simkit.Dist.zipf_sample fast table = oracle_zipf slow ~n ~s)
+          (List.init 50 Fun.id)
+      in
+      same_ranks
+      && Simkit.Dist.zipf fast ~n ~s = oracle_zipf slow ~n ~s
+      && Simkit.Prng.next_int64 fast = Simkit.Prng.next_int64 slow)
+
 let test_poisson_mean () =
   let rng = Simkit.Prng.create 53L in
   let acc = ref 0 in
@@ -1082,6 +1111,7 @@ let () =
           Alcotest.test_case "pareto infinite mean" `Quick test_dist_pareto_mean_infinite;
           Alcotest.test_case "zipf bounds" `Quick test_zipf_bounds;
           Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
+          qc prop_zipf_table_matches_per_call;
           Alcotest.test_case "poisson mean" `Quick test_poisson_mean;
           Alcotest.test_case "poisson large mean" `Quick test_poisson_large_mean ] );
       ( "heap",
