@@ -1376,6 +1376,13 @@ let microbenchmarks () =
   let doc = Simkit.Json.of_string_exn doc_text in
   let request = Oar.Request.nodes ~filter:"cluster='grisou'" (`N 4) ~walltime:3600.0 in
   let expr_source = "cluster='grisou' and gpu='NO' and cores>=8" in
+  let grisou = Oar.Expr.parse_exn "cluster='grisou'" in
+  (* The last of the 448 environments configurations: the far end of a
+     linear scan. *)
+  let env_axes =
+    Framework.Testdef.axes_of_config
+      (List.hd (List.rev (Framework.Testdef.expand Framework.Testdef.Environments)))
+  in
   let tests =
     [ Test.make ~name:"prng.next_int64" (Staged.stage (fun () -> Simkit.Prng.next_int64 rng));
       Test.make ~name:"dist.normal"
@@ -1393,6 +1400,12 @@ let microbenchmarks () =
       Test.make ~name:"expr.parse" (Staged.stage (fun () -> Oar.Expr.parse_exn expr_source));
       Test.make ~name:"oar.estimate-start"
         (Staged.stage (fun () -> Oar.Manager.estimate_start oar request));
+      (* More hosts than the cluster has: the precheck scans all of them. *)
+      Test.make ~name:"oar.free-at-least-scan"
+        (Staged.stage (fun () -> Oar.Manager.free_at_least oar grisou 1000));
+      Test.make ~name:"testdef.config-of-axes"
+        (Staged.stage (fun () ->
+             Framework.Testdef.config_of_axes Framework.Testdef.Environments env_axes));
       Test.make ~name:"g5kchecks.node-check"
         (Staged.stage (fun () -> G5kchecks.Check.run instance node));
       Test.make ~name:"matrix.expand-448"

@@ -1,9 +1,12 @@
 let job_name family = "test_" ^ Testdef.family_to_string family
 
-let family_of_job name =
-  if String.length name > 5 && String.sub name 0 5 = "test_" then
-    Testdef.family_of_string (String.sub name 5 (String.length name - 5))
-  else None
+(* Job name -> [Some family], built once, so a lookup allocates nothing. *)
+let families_by_job = Hashtbl.create 16
+
+let () =
+  List.iter (fun f -> Hashtbl.replace families_by_job (job_name f) (Some f)) Testdef.all_families
+
+let family_of_job name = try Hashtbl.find families_by_job name with Not_found -> None
 
 let config_of_build build =
   match family_of_job build.Ci.Build.job_name with

@@ -183,31 +183,6 @@ let axes_of_config config =
     [ ("site", Option.value ~default:"" config.site) ]
   | Kavlan -> [ ("vlan", string_of_int (Option.value ~default:0 config.vlan)) ]
 
-let config_of_axes family axes =
-  let find key = List.assoc_opt key axes in
-  let candidates = expand family in
-  match family with
-  | Environments -> (
-    match (find "image", find "cluster") with
-    | Some image, Some cluster ->
-      List.find_opt
-        (fun c -> c.image = Some image && c.cluster = Some cluster)
-        candidates
-    | _ -> None)
-  | Stdenv | Refapi | Oarproperties | Multireboot | Multideploy | Console | Disk
-  | Dellbios | Mpigraph -> (
-    match find "cluster" with
-    | Some cluster -> List.find_opt (fun c -> c.cluster = Some cluster) candidates
-    | None -> None)
-  | Oarstate | Cmdline | Sidapi | Paralleldeploy | Kwapi -> (
-    match find "site" with
-    | Some site -> List.find_opt (fun c -> c.site = Some site) candidates
-    | None -> None)
-  | Kavlan -> (
-    match Option.bind (find "vlan") int_of_string_opt with
-    | Some vlan -> List.find_opt (fun c -> c.vlan = Some vlan) candidates
-    | None -> None)
-
 let matrix_axes family =
   match family with
   | Environments -> [ ("image", image_names); ("cluster", cluster_names) ]
@@ -222,6 +197,53 @@ let matrix_axes family =
         List.map
           (fun v -> string_of_int v.Kavlan.vlan_id)
           Kavlan.standard_vlans ) ]
+
+(* [config_of_axes]: one level per axis of [matrix_axes], in that order,
+   down to a precomputed [Some config]; the vlan level is keyed by the
+   parsed int.  Built once and read-only afterwards, like [expansions]. *)
+type lookup =
+  | Found of config option
+  | By_name of string * (string, lookup) Hashtbl.t
+  | By_int of string * (int, lookup) Hashtbl.t
+
+(* [entries] pairs each configuration, in catalog order, with its
+   values of [axes]; a repeated key keeps its first configuration. *)
+let rec build axes entries =
+  match axes with
+  | [] -> Found (match entries with (_, config) :: _ -> Some config | [] -> None)
+  | axis :: rest ->
+    let level key_of =
+      let groups = Hashtbl.create 64 in
+      List.iter
+        (fun (values, config) ->
+          let key = key_of (List.hd values) in
+          let group = Option.value ~default:[] (Hashtbl.find_opt groups key) in
+          Hashtbl.replace groups key ((List.tl values, config) :: group))
+        (List.rev entries);
+      Hashtbl.of_seq (Seq.map (fun (key, group) -> (key, build rest group)) (Hashtbl.to_seq groups))
+    in
+    if axis = "vlan" then By_int (axis, level int_of_string) else By_name (axis, level Fun.id)
+
+let lookups =
+  List.map
+    (fun family ->
+      let axes = List.map fst (matrix_axes family) in
+      let values config = List.map (fun axis -> List.assoc axis (axes_of_config config)) axes in
+      (family, build axes (List.map (fun config -> (values config, config)) (expand family))))
+    all_families
+
+let rec find axes = function
+  | Found config -> config
+  | By_name (axis, tbl) -> (
+    match Hashtbl.find tbl (List.assoc axis axes) with
+    | next -> find axes next
+    | exception Not_found -> None)
+  | By_int (axis, tbl) -> (
+    match Hashtbl.find tbl (int_of_string (List.assoc axis axes)) with
+    | next -> find axes next
+    | exception (Not_found | Failure _) -> None)
+
+let config_of_axes family axes = find axes (List.assq family lookups)
 
 let effective_site config =
   match config.site with

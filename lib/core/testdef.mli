@@ -71,7 +71,9 @@ val axes_of_config : config -> (string * string) list
     family's matrix job. *)
 
 val config_of_axes : family -> (string * string) list -> config option
-(** Inverse of {!axes_of_config}. *)
+(** Inverse of {!axes_of_config}; the vlan is compared as an int, so
+    ["07"] finds vlan 7.  Cost: one hash lookup per axis in immutable
+    tables built at module initialisation; allocates nothing. *)
 
 val matrix_axes : family -> (string * string list) list
 (** Axis declaration for the family's CI matrix job (may be [[]] for a

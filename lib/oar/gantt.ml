@@ -1,7 +1,8 @@
 type interval = { start : float; stop : float; job : int }
 
-(* One mutable cell per host, so [prune] can shorten lists in place. *)
-type slot = { mutable intervals : interval list }
+(* One mutable cell per host, never replaced, so [prune] can shorten
+   lists in place and callers may hold a cell. *)
+type slot = { host : string; mutable intervals : interval list }
 
 type t = {
   slots : (string, slot) Hashtbl.t;
@@ -22,17 +23,22 @@ let get t host =
   | slot -> slot.intervals
   | exception Not_found -> []
 
-let set t host intervals =
+let slot t host =
   match Hashtbl.find t.slots host with
-  | slot -> slot.intervals <- intervals
-  | exception Not_found -> Hashtbl.add t.slots host { intervals }
+  | slot -> slot
+  | exception Not_found ->
+    let slot = { host; intervals = [] } in
+    Hashtbl.add t.slots host slot;
+    slot
+
+let set t host intervals = (slot t host).intervals <- intervals
 
 let overlaps a b = a.start < b.stop && b.start < a.stop
 
-let reserve t ~host ~start ~stop ~job =
+let reserve_slot t slot ~start ~stop ~job =
   if stop <= start then invalid_arg "Gantt.reserve: empty interval";
   let interval = { start; stop; job } in
-  let existing = get t host in
+  let existing = slot.intervals in
   if List.exists (overlaps interval) existing then
     invalid_arg "Gantt.reserve: overlapping reservation";
   (* Starts are distinct, so the new interval has exactly one place in
@@ -41,9 +47,11 @@ let reserve t ~host ~start ~stop ~job =
     | i :: rest when i.start < start -> i :: insert rest
     | later -> interval :: later
   in
-  set t host (insert existing);
+  slot.intervals <- insert existing;
   let hosts = try Hashtbl.find t.by_job job with Not_found -> [] in
-  if not (List.mem host hosts) then Hashtbl.replace t.by_job job (host :: hosts)
+  if not (List.mem slot.host hosts) then Hashtbl.replace t.by_job job (slot.host :: hosts)
+
+let reserve t ~host ~start ~stop ~job = reserve_slot t (slot t host) ~start ~stop ~job
 
 let release t ~host ~job =
   set t host (List.filter (fun i -> i.job <> job) (get t host));
@@ -79,17 +87,17 @@ let rec free_over ~start ~stop = function
   | i :: rest -> i.start >= stop || (i.stop <= start && free_over ~start ~stop rest)
 
 let is_free t ~host ~start ~stop = free_over ~start ~stop (get t host)
+let slot_is_free slot ~start ~stop = free_over ~start ~stop slot.intervals
 
-let next_free_window t ~host ~after ~duration =
-  let intervals = get t host in
-  let rec scan candidate = function
-    | [] -> candidate
-    | i :: rest ->
-      if i.stop <= candidate then scan candidate rest
-      else if i.start >= candidate +. duration then candidate
-      else scan (Float.max candidate i.stop) rest
-  in
-  scan after intervals
+let rec scan_windows ~duration candidate = function
+  | [] -> candidate
+  | i :: rest ->
+    if i.stop <= candidate then scan_windows ~duration candidate rest
+    else if i.start >= candidate +. duration then candidate
+    else scan_windows ~duration (Float.max candidate i.stop) rest
+
+let next_free_window t ~host ~after ~duration = scan_windows ~duration after (get t host)
+let slot_next_free_window slot ~after ~duration = scan_windows ~duration after slot.intervals
 
 let reservations t ~host = List.map (fun i -> (i.start, i.stop, i.job)) (get t host)
 

@@ -8,15 +8,24 @@
     sorted by stop too.  {!reserve} inserts in order, copying only the
     intervals that start earlier; {!is_free} and {!next_free_window}
     scan without allocating; {!prune} drops each host's expired prefix
-    in place and allocates nothing for a host with nothing expired. *)
+    in place and allocates nothing for a host with nothing expired.
+
+    A host's list lives in its {!type-slot}, a cell registered on first
+    use and never replaced, so a slot taken before the host's first
+    reservation sees every later change; the [slot_] functions hash no
+    host name. *)
 
 type t
+type slot
 
 val create : unit -> t
 
 val reserve : t -> host:string -> start:float -> stop:float -> job:int -> unit
 (** @raise Invalid_argument when the interval overlaps an existing
     reservation on the host or [stop <= start]. *)
+
+val slot : t -> string -> slot
+val reserve_slot : t -> slot -> start:float -> stop:float -> job:int -> unit
 
 val release : t -> host:string -> job:int -> unit
 (** Drop all reservations of [job] on [host] (no-op if absent). *)
@@ -28,10 +37,13 @@ val truncate : t -> host:string -> job:int -> stop:float -> unit
 (** Early job end: shorten the job's reservation to [stop]. *)
 
 val is_free : t -> host:string -> start:float -> stop:float -> bool
+val slot_is_free : slot -> start:float -> stop:float -> bool
 
 val next_free_window : t -> host:string -> after:float -> duration:float -> float
 (** Earliest [t >= after] such that the host is continuously free on
     [\[t, t + duration)]. *)
+
+val slot_next_free_window : slot -> after:float -> duration:float -> float
 
 val reservations : t -> host:string -> (float * float * int) list
 (** Current reservations, sorted by start. *)

@@ -3,6 +3,10 @@ type submit_error =
   | Not_immediately_schedulable of float
   | Service_unavailable
 
+(* A matching host, resolved when its filter's cache entry is filled;
+   valid while the entry is (DESIGN §10, "Host handles"). *)
+type handle = { host : string; node : Testbed.Node.t option; slot : Gantt.slot }
+
 module Filter_cache = Hashtbl.Make (struct
   type t = Expr.t
 
@@ -26,7 +30,7 @@ type t = {
       (* jobs currently in [Running], so consistency checks that run on
          every test round stay O(live) as the job history grows *)
   mutable last_prune : float;  (* gantt pruning runs at most hourly *)
-  filter_cache : string array Filter_cache.t;
+  filter_cache : handle array Filter_cache.t;
       (* parsed filter -> matching hosts (sorted); properties change
          rarely (only refreshes that change a row reset it), so filter
          evaluation over 894 hosts is memoised, keyed structurally so
@@ -90,52 +94,60 @@ let matching_hosts_arr t filter =
   | None ->
     let hosts =
       Property.hosts t.props
-      |> List.filter (fun host ->
-             Expr.eval filter ~props:(Property.props_fun t.props ~host))
+      |> List.filter_map (fun host ->
+             if Expr.eval filter ~props:(Property.props_fun t.props ~host) then
+               Some
+                 { host;
+                   node = Testbed.Instance.find_node t.instance host;
+                   slot = Gantt.slot t.gantt host }
+             else None)
       |> Array.of_list
     in
     Filter_cache.replace t.filter_cache filter hosts;
     hosts
 
-let matching_hosts t filter = Array.to_list (matching_hosts_arr t filter)
+let matching_hosts t filter = Array.to_list (Array.map (fun h -> h.host) (matching_hosts_arr t filter))
 
-(* [Instance.node] raises rather than boxing an option, so the per-host
-   tests of the placement scans allocate nothing. *)
-let host_usable t host =
-  match Testbed.Instance.node t.instance host with
-  | node -> node.Testbed.Node.state <> Testbed.Node.Down && Testbed.Node.in_service node
-  | exception Not_found -> false
+(* The per-host tests read the node's live fields and the host's Gantt
+   slot through the handle, so they hash nothing and allocate nothing. *)
+let is_usable h =
+  match h.node with
+  | Some node -> node.Testbed.Node.state <> Testbed.Node.Down && Testbed.Node.in_service node
+  | None -> false
 
 (* Alive, in service (not sidelined by the health loop), and unreserved
-   for the next instant. *)
-let host_free_now t ~time host =
-  match Testbed.Instance.node t.instance host with
-  | node ->
+   over the next instant.  Scans take the window as arguments: a float
+   computed in a scan's body is boxed again at every call in its loop. *)
+let free_now ~start ~stop h =
+  match h.node with
+  | Some node ->
     Testbed.Node.is_available node
     && Testbed.Node.in_service node
-    && Gantt.is_free t.gantt ~host ~start:time ~stop:(time +. 1.0)
-  | exception Not_found -> false
+    && Gantt.slot_is_free h.slot ~start ~stop
+  | None -> false
 
 let free_matching_now t filter =
-  let time = now t in
+  let start = now t in
+  let stop = start +. 1.0 in
   let hosts = matching_hosts_arr t filter in
-  Array.fold_right
-    (fun host acc -> if host_free_now t ~time host then host :: acc else acc)
-    hosts []
+  Array.fold_right (fun h acc -> if free_now ~start ~stop h then h.host :: acc else acc) hosts []
 
-let free_at_least t filter n =
-  n <= 0
-  ||
-  let time = now t in
-  let hosts = matching_hosts_arr t filter in
+(* Hosts free over the window, counted up to [n]. *)
+let count_free ~start ~stop hosts n =
   let len = Array.length hosts in
   let found = ref 0 in
   let i = ref 0 in
   while !found < n && !i < len do
-    if host_free_now t ~time hosts.(!i) then incr found;
+    if free_now ~start ~stop hosts.(!i) then incr found;
     incr i
   done;
-  !found >= n
+  !found
+
+let free_at_least t filter n =
+  n <= 0
+  ||
+  let start = now t in
+  count_free ~start ~stop:(start +. 1.0) (matching_hosts_arr t filter) n >= n
 
 (* ---- placement --------------------------------------------------------- *)
 
@@ -144,31 +156,30 @@ let free_at_least t filter n =
    at which they are.  [place_request] searches again from that later
    start, where the first case applies, so the hosts a later start would
    pick are never needed. *)
-type group_placement = At_after of string list | Later of float | Never
+type group_placement = At_after of handle list | Later of float | Never
 
 (* Whether [needed] of [pool] are free over [\[start, stop)]; stops at
    the [needed]-th. *)
-let enough_free t ~start ~stop ~needed pool =
+let enough_free ~start ~stop ~needed pool =
   let len = Array.length pool in
   let free = ref 0 and i = ref 0 in
   while !free < needed && !i < len do
-    if Gantt.is_free t.gantt ~host:pool.(!i) ~start ~stop then incr free;
+    if Gantt.slot_is_free pool.(!i).slot ~start ~stop then incr free;
     incr i
   done;
   !free >= needed
 
-let place_group t ~after ~duration ~hosts ~count =
+let place_group ~after ~stop ~duration ~hosts ~count =
   let len = Array.length hosts in
-  let stop = after +. duration in
   (* One scan: count the usable hosts, and those free at [after] until
      [needed] are found. *)
   let wanted = match count with `N n -> n | `All -> max_int in
   let usable = ref 0 and free = ref 0 and last = ref (-1) and i = ref 0 in
   while !i < len && !free < wanted do
-    let host = hosts.(!i) in
-    if host_usable t host then begin
+    let h = hosts.(!i) in
+    if is_usable h then begin
       incr usable;
-      if Gantt.is_free t.gantt ~host ~start:after ~stop then begin
+      if Gantt.slot_is_free h.slot ~start:after ~stop then begin
         incr free;
         last := !i
       end
@@ -184,28 +195,27 @@ let place_group t ~after ~duration ~hosts ~count =
        order: walk back from the last one and allocate only them. *)
     let chosen = ref [] in
     for i = !last downto 0 do
-      let host = hosts.(i) in
-      if host_usable t host && Gantt.is_free t.gantt ~host ~start:after ~stop then
-        chosen := host :: !chosen
+      let h = hosts.(i) in
+      if is_usable h && Gantt.slot_is_free h.slot ~start:after ~stop then chosen := h :: !chosen
     done;
     At_after !chosen
   end
   else begin
-    let pool = Array.make !usable "" in
+    let pool = Array.make !usable hosts.(0) in
     let k = ref 0 in
     Array.iter
-      (fun host ->
-        if host_usable t host then begin
-          pool.(!k) <- host;
+      (fun h ->
+        if is_usable h then begin
+          pool.(!k) <- h;
           incr k
         end)
       hosts;
-    let feasible start = enough_free t ~start ~stop:(start +. duration) ~needed pool in
+    let feasible start = enough_free ~start ~stop:(start +. duration) ~needed pool in
     (* Candidate starts: each usable host's next free window, ascending
        and without repeats.  Every window is at or after [after], where
        fewer than [needed] hosts are free, so [after] itself is skipped. *)
     let windows =
-      Array.map (fun host -> Gantt.next_free_window t.gantt ~host ~after ~duration) pool
+      Array.map (fun h -> Gantt.slot_next_free_window h.slot ~after ~duration) pool
     in
     (* Sorting indices keeps the floats unboxed; only the start is kept,
        so ties may come out in any order. *)
@@ -222,13 +232,13 @@ let place_group t ~after ~duration ~hosts ~count =
     | Some start -> Later start
     | None ->
       (* All candidate instants collide with reservations that start
-         later; fall back to the time when everything is drained. *)
+         later; fall back to the time when everything is drained.  A
+         host's window of infinite length opens at its last stop (or at
+         [after] when that is later). *)
       let horizon =
         Array.fold_left
-          (fun acc host ->
-            List.fold_left
-              (fun acc (_, stop, _) -> Float.max acc stop)
-              acc (Gantt.reservations t.gantt ~host))
+          (fun acc h ->
+            Float.max acc (Gantt.slot_next_free_window h.slot ~after ~duration:Float.infinity))
           after pool
       in
       if feasible horizon then Later horizon else Never
@@ -252,7 +262,7 @@ let place_request t ~after request =
          all agree on [start], check disjointness and commit. *)
       let rec propose chosen latest = function
         | (count, hosts) :: rest -> (
-          match place_group t ~after:start ~duration ~hosts ~count with
+          match place_group ~after:start ~stop:(start +. duration) ~duration ~hosts ~count with
           | Never -> None
           | Later s -> propose chosen (Float.max latest s) rest
           | At_after hosts -> propose (hosts :: chosen) latest rest)
@@ -260,7 +270,8 @@ let place_request t ~after request =
         | [] ->
           let all_hosts = List.concat (List.rev chosen) in
           let distinct () =
-            List.length (List.sort_uniq String.compare all_hosts) = List.length all_hosts
+            let by_host a b = String.compare a.host b.host in
+            List.length (List.sort_uniq by_host all_hosts) = List.length all_hosts
           in
           if single || distinct () then Some (start, all_hosts)
           else
@@ -311,12 +322,10 @@ let rec start_job t job =
 and try_place_job t job =
   match place_request t ~after:(now t) job.Job.request with
   | None -> false
-  | Some (start, hosts) ->
+  | Some (start, handles) ->
     let stop = start +. job.Job.request.Request.walltime in
-    List.iter
-      (fun host -> Gantt.reserve t.gantt ~host ~start ~stop ~job:job.Job.id)
-      hosts;
-    job.Job.assigned <- hosts;
+    List.iter (fun h -> Gantt.reserve_slot t.gantt h.slot ~start ~stop ~job:job.Job.id) handles;
+    job.Job.assigned <- List.map (fun h -> h.host) handles;
     job.Job.scheduled_start <- start;
     job.Job.state <- Job.Scheduled;
     if job.Job.jtype = Job.Besteffort then
@@ -404,7 +413,7 @@ let submit t ?(user = "anon") ?(jtype = Job.Default) ?duration ?(immediate = fal
        usable host; the real placement happens in [schedule_pass]. *)
     let matchable =
       List.for_all
-        (fun g -> Array.exists (host_usable t) (matching_hosts_arr t g.Request.filter))
+        (fun g -> Array.exists is_usable (matching_hosts_arr t g.Request.filter))
         request.Request.groups
     in
     let admitted =
@@ -447,7 +456,7 @@ let submit_at t ?(user = "anon") ?(jtype = Job.Default) ?duration ~start request
   let duration = Option.value ~default:request.Request.walltime duration in
   match place_request t ~after:start request with
   | None -> Error No_matching_resource
-  | Some (found_start, hosts) ->
+  | Some (found_start, handles) ->
     if found_start > start +. 1e-6 then Error (Not_immediately_schedulable found_start)
     else begin
       let job =
@@ -459,7 +468,7 @@ let submit_at t ?(user = "anon") ?(jtype = Job.Default) ?duration ~start request
           submitted_at = now t;
           duration;
           state = Job.Scheduled;
-          assigned = hosts;
+          assigned = List.map (fun h -> h.host) handles;
           scheduled_start = start;
           started_at = None;
           ended_at = None;
@@ -470,7 +479,7 @@ let submit_at t ?(user = "anon") ?(jtype = Job.Default) ?duration ~start request
       if jtype = Job.Besteffort then
         Hashtbl.replace t.besteffort_scheduled job.Job.id job;
       let stop = start +. request.Request.walltime in
-      List.iter (fun host -> Gantt.reserve t.gantt ~host ~start ~stop ~job:job.Job.id) hosts;
+      List.iter (fun h -> Gantt.reserve_slot t.gantt h.slot ~start ~stop ~job:job.Job.id) handles;
       ignore
         (Simkit.Engine.schedule_at (engine t) ~label:"oar" ~time:start (fun _ -> start_job t job));
       Ok job

@@ -48,7 +48,9 @@ val submit :
     enough usable hosts are free now, it allocates only the chosen
     list; otherwise it sorts the usable hosts by next free window to find
     the earliest later start, and searches again from there.  A
-    single-group request skips the disjointness check. *)
+    single-group request skips the disjointness check.  Memoised hosts
+    are handles to their node record and {!Gantt.type-slot}, resolved
+    once per memo entry, so no scan hashes a host name. *)
 
 val submit_at :
   t ->
@@ -82,7 +84,8 @@ val free_at_least : t -> Expr.t -> int -> bool
 (** [free_at_least t filter n] is [List.length (free_matching_now t
     filter) >= n], but stops scanning the host pool as soon as [n] free
     hosts are found — the external scheduler's resource precheck, called
-    every poll for every due configuration. *)
+    every poll for every due configuration.  It allocates as much for
+    100 hosts as for one. *)
 
 val estimate_start : t -> Request.t -> float option
 (** Earliest feasible start for a hypothetical request, [None] if the

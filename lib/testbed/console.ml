@@ -1,8 +1,11 @@
 (* Each host's lines sit in an array ring: [total] lines were ever
    written, the newest at [(total - 1) mod length].  The array doubles
    from [initial] up to [cap] and only then wraps, so a host that logs
-   little holds a small array. *)
-type ring = { mutable lines : string array; mutable total : int }
+   little holds a small array.  [boot] is the host's last boot banner
+   with the environment and (immutable) hardware it was formatted for. *)
+type ring = { mutable lines : string array; mutable total : int; mutable boot : boot option }
+and boot = { env : string; hw : Hardware.t; banner : string list }
+
 type t = { rings : (string, ring) Hashtbl.t }
 
 let cap = 200
@@ -10,15 +13,15 @@ let initial = 8
 
 let create () = { rings = Hashtbl.create 1024 }
 
-let log_line t ~host line =
-  let ring =
-    match Hashtbl.find_opt t.rings host with
-    | Some ring -> ring
-    | None ->
-      let ring = { lines = Array.make initial ""; total = 0 } in
-      Hashtbl.replace t.rings host ring;
-      ring
-  in
+let ring t host =
+  match Hashtbl.find t.rings host with
+  | ring -> ring
+  | exception Not_found ->
+    let ring = { lines = Array.make initial ""; total = 0; boot = None } in
+    Hashtbl.add t.rings host ring;
+    ring
+
+let push ring line =
   let len = Array.length ring.lines in
   if ring.total = len && len < cap then begin
     let grown = Array.make (min cap (2 * len)) "" in
@@ -28,15 +31,23 @@ let log_line t ~host line =
   ring.lines.(ring.total mod Array.length ring.lines) <- line;
   ring.total <- ring.total + 1
 
+let log_line t ~host line = push (ring t host) line
+
 let log_boot t node =
-  let host = node.Node.host in
-  log_line t ~host (Printf.sprintf "[    0.000000] Linux version (%s)" node.Node.deployed_env);
-  log_line t ~host
-    (Printf.sprintf "[    2.345678] %s: %d cores, %d MB"
-       node.Node.actual.Hardware.cpu.Hardware.cpu_model
-       (Hardware.total_cores node.Node.actual)
-       (node.Node.actual.Hardware.memory.Hardware.ram_gb * 1024));
-  log_line t ~host (host ^ " login:")
+  let ring = ring t node.Node.host in
+  let env = node.Node.deployed_env and hw = node.Node.actual in
+  match ring.boot with
+  | Some b when String.equal b.env env && b.hw == hw -> List.iter (push ring) b.banner
+  | _ ->
+    let banner =
+      [ Printf.sprintf "[    0.000000] Linux version (%s)" env;
+        Printf.sprintf "[    2.345678] %s: %d cores, %d MB" hw.Hardware.cpu.Hardware.cpu_model
+          (Hardware.total_cores hw)
+          (hw.Hardware.memory.Hardware.ram_gb * 1024);
+        node.Node.host ^ " login:" ]
+    in
+    ring.boot <- Some { env; hw; banner };
+    List.iter (push ring) banner
 
 let tail t ~host n =
   match Hashtbl.find_opt t.rings host with

@@ -17,7 +17,9 @@ val log_line : t -> host:string -> string -> unit
     line costs no allocation beyond its string. *)
 
 val log_boot : t -> Node.t -> unit
-(** Append the canonical boot banner of the node's current environment. *)
+(** Append the canonical boot banner of the node's current environment.
+    Cost: the ring keeps the last banner and reuses its strings while
+    [deployed_env] is equal and [actual] is the same record. *)
 
 val tail : t -> host:string -> int -> string list
 (** Last [n] captured lines (oldest first), at most 200; empty for

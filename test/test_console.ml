@@ -107,6 +107,94 @@ let prop_ring_matches_list =
             [ 0; 1; 199; 200; 250 ])
         ("unknown" :: hosts))
 
+(* [Console.log_boot] before it kept each host's last banner: three
+   lines formatted afresh on every boot. *)
+let fresh_banner node =
+  let hw = node.Testbed.Node.actual in
+  [ Printf.sprintf "[    0.000000] Linux version (%s)" node.Testbed.Node.deployed_env;
+    Printf.sprintf "[    2.345678] %s: %d cores, %d MB" hw.Testbed.Hardware.cpu.Testbed.Hardware.cpu_model
+      (Testbed.Hardware.total_cores hw)
+      (hw.Testbed.Hardware.memory.Testbed.Hardware.ram_gb * 1024);
+    node.Testbed.Node.host ^ " login:" ]
+
+type boot_op =
+  | Boot of int
+  | Deploy of int * int  (* node, image *)
+  | Shrink_ram of int  (* a hardware fault: a new record, a new banner *)
+  | Copy_hw of int  (* a new record with the same contents *)
+  | Reset of int  (* operator repair: back to the reference record *)
+  | Line of int
+
+let show_boot_op = function
+  | Boot n -> Printf.sprintf "boot %d" n
+  | Deploy (n, i) -> Printf.sprintf "deploy %d image %d" n i
+  | Shrink_ram n -> Printf.sprintf "shrink_ram %d" n
+  | Copy_hw n -> Printf.sprintf "copy_hw %d" n
+  | Reset n -> Printf.sprintf "reset %d" n
+  | Line n -> Printf.sprintf "line %d" n
+
+let prop_boot_banners_match_fresh =
+  let images = [| "std"; "debian8-x64-min"; "centos7-x64-min" |] in
+  let gen_op =
+    QCheck.Gen.(
+      let node = int_bound 1 in
+      frequency
+        [ (6, map (fun n -> Boot n) node);
+          (2, map2 (fun n i -> Deploy (n, i)) node (int_bound (Array.length images - 1)));
+          (1, map (fun n -> Shrink_ram n) node);
+          (1, map (fun n -> Copy_hw n) node);
+          (1, map (fun n -> Reset n) node);
+          (1, map (fun n -> Line n) node) ])
+  in
+  QCheck.Test.make ~name:"boot banners = freshly formatted ones" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_boot_op ops))
+       QCheck.Gen.(list_size (int_range 1 120) gen_op))
+    (fun ops ->
+      let nodes =
+        Array.map
+          (fun (cluster, index) ->
+            let spec = Option.get (Testbed.Inventory.find_cluster cluster) in
+            Testbed.Node.make ~rng:(Simkit.Prng.create 7L) ~site:spec.Testbed.Inventory.site
+              ~cluster ~index (Testbed.Inventory.node_hardware spec))
+          [| ("grisou", 5); ("graphene", 3) |]
+      in
+      let console = Testbed.Console.create () in
+      let written = ref [] in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Boot n ->
+            let node = nodes.(n) in
+            Testbed.Console.log_boot console node;
+            written :=
+              List.rev_append
+                (List.map (fun line -> (node.Testbed.Node.host, line)) (fresh_banner node))
+                !written
+          | Deploy (n, image) -> nodes.(n).Testbed.Node.deployed_env <- images.(image)
+          | Shrink_ram n ->
+            let hw = nodes.(n).Testbed.Node.actual in
+            let memory = hw.Testbed.Hardware.memory in
+            nodes.(n).Testbed.Node.actual <-
+              { hw with
+                Testbed.Hardware.memory =
+                  { memory with Testbed.Hardware.ram_gb = max 1 (memory.Testbed.Hardware.ram_gb / 2) } }
+          | Copy_hw n ->
+            let hw = nodes.(n).Testbed.Node.actual in
+            nodes.(n).Testbed.Node.actual <- { hw with Testbed.Hardware.gpu = hw.Testbed.Hardware.gpu }
+          | Reset n -> Testbed.Node.reset_to_reference nodes.(n)
+          | Line n ->
+            let host = nodes.(n).Testbed.Node.host and line = Printf.sprintf "marker %d" i in
+            Testbed.Console.log_line console ~host line;
+            written := (host, line) :: !written)
+        ops;
+      let lines = List.rev !written in
+      Array.for_all
+        (fun node ->
+          let host = node.Testbed.Node.host in
+          Testbed.Console.tail console ~host 200 = list_console_tail lines ~host 200)
+        nodes)
+
 let () =
   Alcotest.run "console"
     [
@@ -119,5 +207,6 @@ let () =
           Alcotest.test_case "down node" `Quick test_roundtrip_down_node;
           Alcotest.test_case "ring capped" `Quick test_ring_capped;
           Alcotest.test_case "unknown host" `Quick test_unknown_host_empty;
-          Qc.to_alcotest prop_ring_matches_list ] );
+          Qc.to_alcotest prop_ring_matches_list;
+          Qc.to_alcotest prop_boot_banners_match_fresh ] );
     ]

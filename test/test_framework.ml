@@ -81,6 +81,104 @@ let test_axes_roundtrip () =
       | None -> Alcotest.failf "axes lost %s" config.Framework.Testdef.config_id)
     (Framework.Testdef.catalog ())
 
+(* [Testdef.config_of_axes] before its keyed tables: a linear scan of
+   the family's expansion comparing option-wrapped fields. *)
+let scan_config_of_axes family axes =
+  let open Framework.Testdef in
+  let find key = List.assoc_opt key axes in
+  let candidates = expand family in
+  match family with
+  | Environments -> (
+    match (find "image", find "cluster") with
+    | Some image, Some cluster ->
+      List.find_opt (fun c -> c.image = Some image && c.cluster = Some cluster) candidates
+    | _ -> None)
+  | Stdenv | Refapi | Oarproperties | Multireboot | Multideploy | Console | Disk | Dellbios
+  | Mpigraph -> (
+    match find "cluster" with
+    | Some cluster -> List.find_opt (fun c -> c.cluster = Some cluster) candidates
+    | None -> None)
+  | Oarstate | Cmdline | Sidapi | Paralleldeploy | Kwapi -> (
+    match find "site" with
+    | Some site -> List.find_opt (fun c -> c.site = Some site) candidates
+    | None -> None)
+  | Kavlan -> (
+    match Option.bind (find "vlan") int_of_string_opt with
+    | Some vlan -> List.find_opt (fun c -> c.vlan = Some vlan) candidates
+    | None -> None)
+
+(* Edits turning a catalog configuration's axes into a lookup key. *)
+type axes_edit =
+  | Rotate  (* axis order other than [matrix_axes]' *)
+  | Extra of string  (* an axis no family declares *)
+  | Drop of int
+  | Junk of int * string  (* a value outside the catalog, or a spelling *)
+  | Other of int * int  (* the value of another configuration of the family *)
+  | Pad of int  (* a leading zero: ["07"] *)
+  | Shadow of int * string  (* the same axis again in front, with another value *)
+
+let junk_values = [| ""; "nowhere"; "graphene2"; "07"; "0x7"; "-1"; "1_3"; " 7"; "+7"; "99" |]
+
+let show_axes_edit = function
+  | Rotate -> "rotate"
+  | Extra v -> Printf.sprintf "extra %S" v
+  | Drop i -> Printf.sprintf "drop %d" i
+  | Junk (i, v) -> Printf.sprintf "junk %d %S" i v
+  | Other (i, j) -> Printf.sprintf "other %d from config %d" i j
+  | Pad i -> Printf.sprintf "pad %d" i
+  | Shadow (i, v) -> Printf.sprintf "shadow %d %S" i v
+
+let apply_axes_edit configs axes edit =
+  let n = List.length axes in
+  let at i f = List.mapi (fun k axis -> if k = i mod max 1 n then f axis else axis) axes in
+  match edit with
+  | Rotate -> ( match axes with a :: rest -> rest @ [ a ] | [] -> [])
+  | Extra v -> axes @ [ ("zone", v) ]
+  | Drop i -> List.filteri (fun k _ -> k <> i mod max 1 n) axes
+  | Junk (i, v) -> at i (fun (k, _) -> (k, v))
+  | Other (i, j) ->
+    let other = Framework.Testdef.axes_of_config (List.nth configs (j mod List.length configs)) in
+    at i (fun (k, v) -> (k, Option.value ~default:v (List.assoc_opt k other)))
+  | Pad i -> at i (fun (k, v) -> (k, "0" ^ v))
+  | Shadow (i, v) -> (
+    match List.nth_opt axes (i mod max 1 n) with Some (k, _) -> (k, v) :: axes | None -> axes)
+
+let prop_config_lookup_matches_scan =
+  let families = Array.of_list Framework.Testdef.all_families in
+  let gen_edit =
+    QCheck.Gen.(
+      let i = int_bound 3 and v = map (Array.get junk_values) (int_bound (Array.length junk_values - 1)) in
+      frequency
+        [ (2, return Rotate); (1, map (fun v -> Extra v) v); (1, map (fun i -> Drop i) i);
+          (2, map2 (fun i v -> Junk (i, v)) i v); (3, map2 (fun i j -> Other (i, j)) i (int_bound 447));
+          (2, map (fun i -> Pad i) i); (1, map2 (fun i v -> Shadow (i, v)) i v) ])
+  in
+  let print (f, c, edits) =
+    Printf.sprintf "%s config %d: %s"
+      (Framework.Testdef.family_to_string families.(f))
+      c
+      (String.concat "; " (List.map show_axes_edit edits))
+  in
+  QCheck.Test.make ~name:"keyed config_of_axes = linear scan" ~count:1000
+    (QCheck.make ~print
+       QCheck.Gen.(
+         triple (int_bound (Array.length families - 1)) (int_bound 447)
+           (list_size (int_bound 3) gen_edit)))
+    (fun (f, c, edits) ->
+      let family = families.(f) in
+      let configs = Framework.Testdef.expand family in
+      let axes =
+        Framework.Testdef.axes_of_config (List.nth configs (c mod List.length configs))
+      in
+      let axes = List.fold_left (apply_axes_edit configs) axes edits in
+      (* Every configuration of the family finds itself, too. *)
+      Framework.Testdef.config_of_axes family axes = scan_config_of_axes family axes
+      && List.for_all
+           (fun config ->
+             let axes = Framework.Testdef.axes_of_config config in
+             Framework.Testdef.config_of_axes family axes = scan_config_of_axes family axes)
+           configs)
+
 let test_hardware_centric_classification () =
   checkb "multireboot hardware-centric" true
     (Framework.Testdef.is_hardware_centric Framework.Testdef.Multireboot);
@@ -459,6 +557,7 @@ let () =
           Alcotest.test_case "family sizes" `Quick test_catalog_family_sizes;
           Alcotest.test_case "unique ids" `Quick test_catalog_ids_unique;
           Alcotest.test_case "axes roundtrip" `Quick test_axes_roundtrip;
+          Qc.to_alcotest prop_config_lookup_matches_scan;
           Alcotest.test_case "hardware-centric" `Quick
             test_hardware_centric_classification ] );
       ( "scripts-pass",

@@ -317,20 +317,21 @@ let show_gantt_op = function
   | Release_job j -> Printf.sprintf "release_job j%d" j
   | Prune b -> Printf.sprintf "prune before %d" b
 
+let gen_gantt_op ~hosts ~jobs =
+  QCheck.Gen.(
+    frequency
+      [ (6, map (fun (h, s, l, j) -> Reserve (h, s, l, j))
+              (quad (int_bound (hosts - 1)) (int_bound 100) (int_range 1 20)
+                 (int_range 1 jobs)));
+        (2, map3 (fun h j s -> Truncate (h, j, s)) (int_bound (hosts - 1))
+              (int_range 1 jobs) (int_bound 120));
+        (1, map2 (fun h j -> Release (h, j)) (int_bound (hosts - 1)) (int_range 1 jobs));
+        (1, map (fun j -> Release_job j) (int_range 1 jobs));
+        (2, map (fun b -> Prune b) (int_bound 120)) ])
+
 let prop_gantt_matches_list_model =
   let hosts = 3 and jobs = 5 in
-  let gen_op =
-    QCheck.Gen.(
-      frequency
-        [ (6, map (fun (h, s, l, j) -> Reserve (h, s, l, j))
-                (quad (int_bound (hosts - 1)) (int_bound 100) (int_range 1 20)
-                   (int_range 1 jobs)));
-          (2, map3 (fun h j s -> Truncate (h, j, s)) (int_bound (hosts - 1))
-                (int_range 1 jobs) (int_bound 120));
-          (1, map2 (fun h j -> Release (h, j)) (int_bound (hosts - 1)) (int_range 1 jobs));
-          (1, map (fun j -> Release_job j) (int_range 1 jobs));
-          (2, map (fun b -> Prune b) (int_bound 120)) ])
-  in
+  let gen_op = gen_gantt_op ~hosts ~jobs in
   let print ops = String.concat "; " (List.map show_gantt_op ops) in
   QCheck.Test.make ~name:"gantt matches the sort-and-filter list model" ~count:300
     (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 60) gen_op))
@@ -378,6 +379,60 @@ let prop_gantt_matches_list_model =
           List.for_all
             (fun h -> Oar.Gantt.reservations g ~host:(host h) = model.(h))
             (List.init hosts Fun.id))
+        ops)
+
+(* Slots taken before any reservation, with reservations made through
+   them or through host names, must agree with the host-keyed queries
+   after every operation. *)
+let prop_gantt_slots_match_hosts =
+  let hosts = 3 and jobs = 5 in
+  let print (through_slots, ops) =
+    Printf.sprintf "%s: %s"
+      (if through_slots then "even-length reservations through slots" else "host names")
+      (String.concat "; " (List.map show_gantt_op ops))
+  in
+  QCheck.Test.make ~name:"gantt slots agree with host-keyed queries" ~count:300
+    (QCheck.make ~print
+       QCheck.Gen.(pair bool (list_size (int_range 1 60) (gen_gantt_op ~hosts ~jobs))))
+    (fun (through_slots, ops) ->
+      let g = Oar.Gantt.create () in
+      let host h = Printf.sprintf "h%d" h in
+      let slots = Array.init hosts (fun h -> Oar.Gantt.slot g (host h)) in
+      let agree () =
+        List.for_all
+          (fun h ->
+            let slot = slots.(h) and host = host h in
+            Oar.Gantt.slot g host == slot
+            && List.for_all
+                 (fun start ->
+                   let start = float_of_int start in
+                   List.for_all
+                     (fun length ->
+                       let stop = start +. length in
+                       Oar.Gantt.slot_is_free slot ~start ~stop
+                       = Oar.Gantt.is_free g ~host ~start ~stop
+                       && Oar.Gantt.slot_next_free_window slot ~after:start ~duration:length
+                          = Oar.Gantt.next_free_window g ~host ~after:start ~duration:length)
+                     [ 1.0; 7.0; 30.0; Float.infinity ])
+                 (List.init 27 (fun i -> 5 * i)))
+          (List.init hosts Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Reserve (h, start, length, job) -> (
+             let start = float_of_int start and stop = float_of_int (start + length) in
+             try
+               if through_slots && length mod 2 = 0 then
+                 Oar.Gantt.reserve_slot g slots.(h) ~start ~stop ~job
+               else Oar.Gantt.reserve g ~host:(host h) ~start ~stop ~job
+             with Invalid_argument _ -> ())
+           | Truncate (h, job, stop) ->
+             Oar.Gantt.truncate g ~host:(host h) ~job ~stop:(float_of_int stop)
+           | Release (h, job) -> Oar.Gantt.release g ~host:(host h) ~job
+           | Release_job job -> Oar.Gantt.release_job g ~job
+           | Prune before -> Oar.Gantt.prune g ~before:(float_of_int before));
+          agree ())
         ops)
 
 (* ---- Properties --------------------------------------------------------------- *)
@@ -630,7 +685,8 @@ let () =
           Alcotest.test_case "release and truncate" `Quick test_gantt_release_and_truncate;
           Alcotest.test_case "utilisation" `Quick test_gantt_utilisation;
           qc prop_gantt_no_overlap;
-          qc prop_gantt_matches_list_model ] );
+          qc prop_gantt_matches_list_model;
+          qc prop_gantt_slots_match_hosts ] );
       ( "properties",
         [ Alcotest.test_case "populated" `Quick test_properties_populated;
           Alcotest.test_case "follow refapi" `Quick test_properties_follow_refapi ] );

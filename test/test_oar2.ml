@@ -584,6 +584,176 @@ let prop_place_saturated =
           | _ -> false)
         probes)
 
+(* ---- host handles ------------------------------------------------------------------- *)
+
+type handle_op =
+  | Down of int
+  | Sideline of int  (* what the health loop does: [in_service] turns false *)
+  | Restore of int
+  | Desync of int  (* flip the host's OAR gpu row, then refresh *)
+  | Resync of int
+  | Occupy of int * int  (* filter, nodes *)
+  | Advance of int  (* minutes *)
+
+let show_handle_op = function
+  | Down i -> Printf.sprintf "down %d" i
+  | Sideline i -> Printf.sprintf "sideline %d" i
+  | Restore i -> Printf.sprintf "restore %d" i
+  | Desync i -> Printf.sprintf "desync %d" i
+  | Resync i -> Printf.sprintf "resync %d" i
+  | Occupy (f, n) -> Printf.sprintf "occupy f%d/%d" f n
+  | Advance m -> Printf.sprintf "advance %dmin" m
+
+(* String-keyed recount: each property row tested against the filter,
+   each host's node looked up by name, and its reservations rebuilt from
+   the live jobs. *)
+let recount_free instance oar filter =
+  let props = Oar.Manager.properties oar in
+  let now = Simkit.Engine.now instance.Testbed.Instance.engine in
+  let reserved host =
+    List.exists
+      (fun j ->
+        (j.Oar.Job.state = Oar.Job.Scheduled || j.Oar.Job.state = Oar.Job.Running)
+        && List.mem host j.Oar.Job.assigned
+        && j.Oar.Job.scheduled_start < now +. 1.0
+        && now < j.Oar.Job.scheduled_start +. j.Oar.Job.request.Oar.Request.walltime)
+      (Oar.Manager.jobs oar)
+  in
+  List.filter
+    (fun host ->
+      Oar.Expr.eval filter ~props:(Oar.Property.props_fun props ~host)
+      &&
+      match Testbed.Instance.find_node instance host with
+      | Some node ->
+        Testbed.Node.is_available node && Testbed.Node.in_service node && not (reserved host)
+      | None -> false)
+    (Oar.Property.hosts props)
+
+let prop_handles_match_recount =
+  let filters =
+    Array.map Oar.Expr.parse_exn
+      [| "cluster='orion'"; "cluster='chifflet'"; "gpu='YES'"; "gpu='NO' and cluster='orion'";
+         "cluster='graphite' or gpu='YES'" |]
+  in
+  let gen_op =
+    let open QCheck.Gen in
+    let host = int_bound (List.length refresh_hosts - 1) in
+    frequency
+      [ (3, map (fun i -> Down i) host); (3, map (fun i -> Sideline i) host);
+        (2, map (fun i -> Restore i) host); (2, map (fun i -> Desync i) host);
+        (1, map (fun i -> Resync i) host);
+        (3, map2 (fun f n -> Occupy (f, n)) (int_bound (Array.length filters - 1)) (int_range 1 3));
+        (2, map (fun m -> Advance m) (int_range 1 90)) ]
+  in
+  QCheck.Test.make ~name:"handle scans = string-keyed recount" ~count:40
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_handle_op ops))
+       QCheck.Gen.(list_size (int_range 1 25) gen_op))
+    (fun ops ->
+      let instance, oar = mk () in
+      let ctx = Testbed.Faults.context instance.Testbed.Instance.faults in
+      let host i = List.nth refresh_hosts i in
+      let node i = Testbed.Instance.node instance (host i) in
+      let agree () =
+        Array.for_all
+          (fun filter ->
+            let expected = recount_free instance oar filter in
+            let n = List.length expected in
+            Oar.Manager.free_matching_now oar filter = expected
+            && List.for_all
+                 (fun k -> Oar.Manager.free_at_least oar filter k = (k <= n))
+                 [ 0; 1; n; n + 1 ])
+          filters
+      in
+      (* The first check fills the filter cache, so every later one scans
+         handles resolved before the operations. *)
+      agree ()
+      && List.for_all
+           (fun op ->
+             (match op with
+              | Down i -> (node i).Testbed.Node.state <- Testbed.Node.Down
+              | Sideline i -> (node i).Testbed.Node.health <- Testbed.Node.Suspected
+              | Restore i ->
+                (node i).Testbed.Node.state <- Testbed.Node.Alive;
+                (node i).Testbed.Node.health <- Testbed.Node.Healthy
+              | Desync i ->
+                Hashtbl.replace ctx.Testbed.Faults.flags ("oar_desync:" ^ host i) "x";
+                Oar.Manager.refresh_properties oar
+              | Resync i ->
+                Hashtbl.remove ctx.Testbed.Faults.flags ("oar_desync:" ^ host i);
+                Oar.Manager.refresh_properties oar
+              | Occupy (f, n) ->
+                ignore
+                  (Oar.Manager.submit oar
+                     { Oar.Request.groups = [ { Oar.Request.filter = filters.(f); count = `N n } ];
+                       walltime = 3600.0 })
+              | Advance m ->
+                let engine = instance.Testbed.Instance.engine in
+                Simkit.Engine.run_until engine (Simkit.Engine.now engine +. (60.0 *. float_of_int m)));
+             agree ())
+           ops)
+
+(* ---- allocation contract ------------------------------------------------------------ *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Words that [reps] calls of [f] allocate, net of the same loop around a
+   function that does nothing. *)
+let words_of ?(reps = 1000) f =
+  let loop g () =
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (g ()))
+    done
+  in
+  minor_words (loop f) -. minor_words (loop (fun () -> false))
+
+(* The scans cost the same whatever the number of hosts they visit, and
+   the configuration lookup the same whatever the size of the family. *)
+let test_allocation_contract () =
+  let _, oar = mk () in
+  let hosts = Oar.Property.hosts (Oar.Manager.properties oar) in
+  let first n = Array.of_list (List.filteri (fun i _ -> i < n) hosts) in
+  let one = first 1 and hundred = first 100 in
+  let checkw what a b = Alcotest.(check (float 0.0)) what a b in
+  let g = Oar.Gantt.create () in
+  Array.iteri
+    (fun i host ->
+      let start = float_of_int i in
+      Oar.Gantt.reserve g ~host ~start ~stop:(start +. 10.0) ~job:i)
+    hundred;
+  let is_free hosts () =
+    Array.for_all (fun host -> Oar.Gantt.is_free g ~host ~start:500.0 ~stop:501.0) hosts
+  in
+  checkw "Gantt.is_free: 1 host = 100 hosts" (words_of (is_free one)) (words_of (is_free hundred));
+  let slot_is_free hosts =
+    let slots = Array.map (Oar.Gantt.slot g) hosts in
+    fun () -> Array.for_all (fun s -> Oar.Gantt.slot_is_free s ~start:500.0 ~stop:501.0) slots
+  in
+  checkw "Gantt.slot_is_free: 1 host = 100 hosts" (words_of (slot_is_free one))
+    (words_of (slot_is_free hundred));
+  let filter_of hosts =
+    Oar.Expr.parse_exn
+      (String.concat " or " (Array.to_list (Array.map (Printf.sprintf "host='%s'") hosts)))
+  in
+  let f1 = filter_of one and f100 = filter_of hundred in
+  (* Fill both cache entries first. *)
+  checki "the 1-host filter" 1 (List.length (Oar.Manager.matching_hosts oar f1));
+  checki "the 100-host filter" 100 (List.length (Oar.Manager.matching_hosts oar f100));
+  (* Asking for one more host than the filter matches scans every host. *)
+  let scan filter n () = Oar.Manager.free_at_least oar filter n in
+  checkw "free_at_least: 1 host = 100 hosts" (words_of (scan f1 2)) (words_of (scan f100 101));
+  let lookup family =
+    let config = List.hd (Framework.Testdef.expand family) in
+    let axes = Framework.Testdef.axes_of_config config in
+    fun () -> Option.is_some (Framework.Testdef.config_of_axes family axes)
+  in
+  checkw "config_of_axes: environments = kwapi"
+    (words_of (lookup Framework.Testdef.Kwapi))
+    (words_of (lookup Framework.Testdef.Environments))
+
 (* ---- exact-host requests ------------------------------------------------------------ *)
 
 let test_exact_host_reservation () =
@@ -653,7 +823,9 @@ let () =
             test_filter_cache_invalidated_on_refresh;
           Qc.to_alcotest prop_incremental_refresh;
           Qc.to_alcotest prop_place_at_now;
-          Qc.to_alcotest prop_place_saturated ] );
+          Qc.to_alcotest prop_place_saturated;
+          Qc.to_alcotest prop_handles_match_recount;
+          Alcotest.test_case "allocation contract" `Quick test_allocation_contract ] );
       ( "workload",
         [ Alcotest.test_case "diurnal profile" `Slow test_workload_respects_diurnal_profile;
           Alcotest.test_case "accounting integration" `Slow test_accounting_under_workload ] );
