@@ -12,7 +12,7 @@ let section id title =
 
 (* Print a scenario's results and write them to BENCH_<name>.json. *)
 let write_bench name json =
-  let file = Framework.Perfgate.file name in
+  let file = "BENCH_" ^ name ^ ".json" in
   let text = Simkit.Json.to_string ~indent:2 json in
   let oc = open_out file in
   output_string oc text;
@@ -806,93 +806,6 @@ let e13_health () =
   in
   write_bench "health" json
 
-(* ---- E14: Trustlint + runtime audit overhead -------------------------------------------- *)
-
-(* Measures (a) the static linter over the full catalog and every CLI
-   preset, and (b) the runtime auditor's cost: the same 2-month campaign
-   with audit off and on, checking the audited run reproduces the
-   unaudited report exactly (the auditor draws no engine randomness).
-   Writes BENCH_lint.json.  [--scenario lint] runs only this. *)
-let e14_lint () =
-  section "E14" "Trustlint static analysis + runtime audit overhead";
-  let t0 = Unix.gettimeofday () in
-  let catalog_diags = Framework.Lint.check_catalog () in
-  let preset_diags =
-    List.concat_map (fun (_, cfg) -> Framework.Lint.run cfg) Framework.Lint.presets
-  in
-  let lint_wall = Unix.gettimeofday () -. t0 in
-  Printf.printf
-    "lint: catalog (751 configs) + %d presets in %.3f s, %d diagnostics\n"
-    (List.length Framework.Lint.presets)
-    lint_wall
-    (List.length catalog_diags + List.length preset_diags);
-  let months = 2 in
-  let campaign ~audit =
-    let cfg = { Framework.Campaign.default_config with months; audit } in
-    let t0 = Unix.gettimeofday () in
-    let report = Framework.Campaign.run cfg in
-    (report, Unix.gettimeofday () -. t0)
-  in
-  let report_off, wall_off = campaign ~audit:false in
-  let report_on, wall_on = campaign ~audit:true in
-  (* Byte-identity modulo the audit member itself: strip it and compare
-     the serialised reports. *)
-  let strip r = { r with Framework.Campaign.audit = None } in
-  let identical =
-    String.equal
-      (Framework.Report.to_string (strip report_off))
-      (Framework.Report.to_string (strip report_on))
-  in
-  let summary =
-    match report_on.Framework.Campaign.audit with
-    | Some s -> s
-    | None -> failwith "audited campaign produced no audit summary"
-  in
-  Printf.printf "%d-month campaign: audit off %.2f s, on %.2f s (%+.1f%%)\n"
-    months wall_off wall_on
-    ((wall_on -. wall_off) /. wall_off *. 100.0);
-  Printf.printf "  reports identical modulo audit member: %b\n" identical;
-  Printf.printf
-    "  audit: %d checks run, %d violations, %d races flagged over %d events\n"
-    summary.Simkit.Audit.checks_run
-    (List.length summary.Simkit.Audit.violations)
-    summary.Simkit.Audit.races_flagged summary.Simkit.Audit.events_observed;
-  List.iteri
-    (fun i v ->
-      if i < 3 then
-        Printf.printf "    [t=%.0f] %s: %s\n" v.Simkit.Audit.at
-          v.Simkit.Audit.check
-          (if String.length v.Simkit.Audit.detail > 200 then
-             String.sub v.Simkit.Audit.detail 0 200 ^ "..."
-           else v.Simkit.Audit.detail))
-    summary.Simkit.Audit.violations;
-  if not identical then
-    print_endline "WARNING: the audited campaign diverged from the baseline!";
-  let json =
-    let open Simkit.Json in
-    Obj
-      [ ( "lint",
-          Obj
-            [ ("configurations", Int (Framework.Jobs.total_configurations ()));
-              ("presets", Int (List.length Framework.Lint.presets));
-              ("wall_s", Float lint_wall);
-              ( "diagnostics",
-                Int (List.length catalog_diags + List.length preset_diags) ) ] );
-        ( "audit",
-          Obj
-            [ ("months", Int months);
-              ("off_wall_s", Float wall_off);
-              ("on_wall_s", Float wall_on);
-              ( "overhead_pct",
-                Float ((wall_on -. wall_off) /. wall_off *. 100.0) );
-              ("reports_identical", Bool identical);
-              ("checks_run", Int summary.Simkit.Audit.checks_run);
-              ("violations", Int (List.length summary.Simkit.Audit.violations));
-              ("races_flagged", Int summary.Simkit.Audit.races_flagged);
-              ("events_observed", Int summary.Simkit.Audit.events_observed) ] ) ]
-  in
-  write_bench "lint" json
-
 (* ---- E15: triage pipeline at scale ------------------------------------------------------ *)
 
 (* Replays >= 1M synthetic evidence bundles through canonicalization and
@@ -1024,341 +937,6 @@ let e15_triage () =
   in
   write_bench "triage" json
 
-(* ---- E16: engine raw speed ------------------------------------------------------------- *)
-
-(* Drives the 2-month reference campaign by hand through the engine's
-   [next_time]/[step] API so every step's wall latency can be sampled,
-   then reports events/s, minor words allocated per event and the step
-   latency percentiles.  Writes BENCH_engine.json — the checked-in copy
-   of that file is the baseline the CI perf gate compares against.
-   [--scenario engine] runs only this. *)
-
-let e16_engine () =
-  section "E16" "engine: events/s, allocation and step latency on the 2-month reference campaign";
-  let months = 2 in
-  let anchor_events_per_s = 6500.0 in
-  let sim =
-    Framework.Campaign.prepare { Framework.Campaign.default_config with months }
-  in
-  let engine = Framework.Campaign.sim_engine sim in
-  let horizon = Framework.Campaign.sim_horizon sim in
-  let cap = ref 65536 in
-  let buf = ref (Array.make !cap 0.0) in
-  let n = ref 0 in
-  let minor0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let continue = ref true in
-  while !continue do
-    match Simkit.Engine.next_time engine with
-    | Some next when next <= horizon ->
-      let s0 = Unix.gettimeofday () in
-      ignore (Simkit.Engine.step engine);
-      let dt = Unix.gettimeofday () -. s0 in
-      if !n = !cap then begin
-        let nbuf = Array.make (2 * !cap) 0.0 in
-        Array.blit !buf 0 nbuf 0 !cap;
-        buf := nbuf;
-        cap := 2 * !cap
-      end;
-      !buf.(!n) <- dt;
-      incr n
-    | _ -> continue := false
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor_words = Gc.minor_words () -. minor0 in
-  (* Clamp the clock to the horizon exactly as [run_until] would. *)
-  Simkit.Engine.run_until engine horizon;
-  let events = Simkit.Engine.events_executed engine in
-  let steps = !n in
-  let report = Framework.Campaign.finalize sim in
-  let sorted = Array.sub !buf 0 steps in
-  Array.sort compare sorted;
-  let percentile p =
-    if steps = 0 then 0.0
-    else begin
-      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int steps)) - 1 in
-      sorted.(Stdlib.max 0 (Stdlib.min (steps - 1) rank)) *. 1e6
-    end
-  in
-  let events_per_s = float_of_int events /. wall in
-  let minor_words_per_event = minor_words /. float_of_int (Stdlib.max 1 events) in
-  let p50 = percentile 50.0 and p95 = percentile 95.0 and p99 = percentile 99.0 in
-  let max_us = if steps = 0 then 0.0 else sorted.(steps - 1) *. 1e6 in
-  let speedup = events_per_s /. anchor_events_per_s in
-  Printf.printf "%d events (%d steps) over %d months in %.2f s\n" events steps months wall;
-  Printf.printf "  throughput: %.0f events/s (%.1fx the %.0f events/s anchor)\n"
-    events_per_s speedup anchor_events_per_s;
-  Printf.printf "  allocation: %.1f minor words/event\n" minor_words_per_event;
-  Printf.printf "  step latency: p50 %.2f us, p95 %.2f us, p99 %.2f us, max %.0f us\n"
-    p50 p95 p99 max_us;
-  Printf.printf "  campaign sanity: %d builds, %d bugs filed\n"
-    report.Framework.Campaign.builds_total report.Framework.Campaign.bugs_filed;
-  let json =
-    let open Simkit.Json in
-    Obj
-      [ ("scenario", String "engine");
-        ("months", Int months);
-        ("events_executed", Int events);
-        ("steps", Int steps);
-        ("wall_s", Float wall);
-        ("events_per_s", Float events_per_s);
-        ("minor_words_per_event", Float minor_words_per_event);
-        ("step_latency_us",
-         Obj [ ("p50", Float p50); ("p95", Float p95); ("p99", Float p99);
-               ("max", Float max_us) ]);
-        ("anchor_events_per_s", Float anchor_events_per_s);
-        ("speedup_vs_anchor", Float speedup) ]
-  in
-  write_bench "engine" json
-
-(* ---- E17: status-page serving layer ----------------------------------------------------- *)
-
-(* A 2-month full-catalog campaign with the serving layer attached and a
-   workload hot enough to resolve >= 1M reads, including daily flash
-   crowds that overwhelm admission and a Serve_crash at day 30 (repaired
-   12 h later) that forces a journal-replay recovery.  The wall-clock
-   probe is injected here — the library never reads real time — so
-   reads/s reflects the service loop's true per-read cost.  Writes
-   BENCH_serve.json, whose checked-in copy is the serve perf-gate
-   baseline.  [--scenario serve] runs only this. *)
-
-let e17_serve () =
-  section "E17" "serving: snapshot cache, shedding and crash recovery under >= 1M reads";
-  let day = Simkit.Calendar.day in
-  let months = 2 in
-  let horizon = float_of_int months *. Simkit.Calendar.month in
-  let serve_cfg =
-    { Framework.Serve.default_config with
-      Framework.Serve.rate_limit = 200.0;
-      burst = 8000.0;
-      queue_limit = 10_000;
-      stale_queue = 500;
-      fallback_queue = 5000;
-      readers_per_s = 5.0;
-    }
-  in
-  let env = Framework.Env.create ~seed:1717L () in
-  Framework.Jobs.define_all env ~on_evidence:(fun _ -> ());
-  let page = Framework.Statuspage.create env in
-  let alerts = Monitoring.Alerts.create env.Framework.Env.collector in
-  let serve = Framework.Serve.attach ~alerts ~config:serve_cfg env page in
-  Framework.Serve.set_clock serve Unix.gettimeofday;
-  let scheduler = Framework.Scheduler.create env in
-  List.iter (Framework.Scheduler.enable_family scheduler) Framework.Testdef.all_families;
-  Framework.Scheduler.start scheduler;
-  let faults = Framework.Env.faults env in
-  ignore
-    (Simkit.Engine.schedule_at (Framework.Env.engine env) ~time:(30.0 *. day)
-       (fun eng ->
-         match
-           Testbed.Faults.inject_on faults ~now:(Simkit.Engine.now eng)
-             Testbed.Faults.Serve_crash
-             (Testbed.Faults.Global Testbed.Faults.serve_crash_flag)
-         with
-         | Some fault ->
-           ignore
-             (Simkit.Engine.schedule eng ~delay:(12.0 *. 3600.0) (fun eng ->
-                  Testbed.Faults.repair faults ~now:(Simkit.Engine.now eng) fault))
-         | None -> ()));
-  let t0 = Unix.gettimeofday () in
-  Framework.Env.run_until env horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let s = Framework.Serve.summary serve in
-  let busy = Framework.Serve.busy_seconds serve in
-  let reads_per_s =
-    if busy > 0.0 then float_of_int s.Framework.Serve.reads /. busy else 0.0
-  in
-  let served =
-    s.Framework.Serve.fresh + s.Framework.Serve.not_modified
-    + s.Framework.Serve.stale + s.Framework.Serve.fallback
-  in
-  let conserved = served + s.Framework.Serve.shed = s.Framework.Serve.reads in
-  Printf.printf "%d reads resolved over %d months in %.2f s wall (%.2f s serving)\n"
-    s.Framework.Serve.reads months wall busy;
-  Printf.printf "  throughput: %.0f reads/s of serving time %s\n" reads_per_s
-    (if s.Framework.Serve.reads >= 1_000_000 then "(target >= 1M reads: OK)"
-     else "(target >= 1M reads: MISSED)");
-  Printf.printf
-    "  outcomes: %d fresh, %d not-modified, %d stale, %d fallback, %d shed \
-     (conservation: %s)\n"
-    s.Framework.Serve.fresh s.Framework.Serve.not_modified
-    s.Framework.Serve.stale s.Framework.Serve.fallback s.Framework.Serve.shed
-    (if conserved then "OK" else "VIOLATED");
-  Printf.printf "  cache: %d renders for %d served reads (hit ratio %.4f)\n"
-    s.Framework.Serve.renders served s.Framework.Serve.hit_ratio;
-  Printf.printf
-    "  degradation: %.0f s degraded, %d alerts, queue peak %d; staleness p50 \
-     %.1f s, p99 %.1f s, max %.1f s\n"
-    s.Framework.Serve.degraded_seconds s.Framework.Serve.alerts_fired
-    s.Framework.Serve.queued_peak s.Framework.Serve.staleness_p50
-    s.Framework.Serve.staleness_p99 s.Framework.Serve.staleness_max;
-  Printf.printf "  crash drill: %d crash(es), %d recovery replay(s)\n"
-    s.Framework.Serve.crashes s.Framework.Serve.recoveries;
-  if not conserved then print_endline "WARNING: serve read conservation violated!";
-  let json =
-    let open Simkit.Json in
-    Obj
-      [ ("scenario", String "serve");
-        ("months", Int months);
-        ("reads", Int s.Framework.Serve.reads);
-        ("wall_s", Float wall);
-        ("serving_wall_s", Float busy);
-        ("reads_per_s", Float reads_per_s);
-        ("hit_ratio", Float s.Framework.Serve.hit_ratio);
-        ("fresh", Int s.Framework.Serve.fresh);
-        ("not_modified", Int s.Framework.Serve.not_modified);
-        ("stale", Int s.Framework.Serve.stale);
-        ("fallback", Int s.Framework.Serve.fallback);
-        ("shed", Int s.Framework.Serve.shed);
-        ("conservation_ok", Bool conserved);
-        ("renders", Int s.Framework.Serve.renders);
-        ("renders_saved", Int s.Framework.Serve.renders_saved);
-        ("queued_peak", Int s.Framework.Serve.queued_peak);
-        ("degraded_seconds", Float s.Framework.Serve.degraded_seconds);
-        ("alerts_fired", Int s.Framework.Serve.alerts_fired);
-        ("crashes", Int s.Framework.Serve.crashes);
-        ("recoveries", Int s.Framework.Serve.recoveries);
-        ("staleness_s",
-         Obj [ ("p50", Float s.Framework.Serve.staleness_p50);
-               ("p99", Float s.Framework.Serve.staleness_p99);
-               ("max", Float s.Framework.Serve.staleness_max) ]) ]
-  in
-  write_bench "serve" json
-
-(* ---- E18: federation sharding --------------------------------------------------------- *)
-
-(* A 10-testbed federation (one month per member) driven two ways: the
-   sharded conservative-lookahead path, which coordinates only at
-   6-hourly barriers, and the unsharded Reference driver, which runs the
-   whole federation through one global event loop and re-establishes the
-   cross-testbed coupling state after every event — the discipline a
-   single engine with no lookahead contract must follow.  Both produce
-   byte-identical reports (checked here across shard counts 1/2/4/8 and
-   the sequential/parallel/interleaved drivers); the speedup of the
-   sharded path over the reference is the gating figure.  Writes
-   BENCH_federation.json, whose checked-in copy is the federation
-   perf-gate baseline.  [--scenario federation] runs only this. *)
-
-let e18_federation () =
-  section "E18" "federation: sharded lookahead barriers vs unsharded reference";
-  let base_cfg =
-    { Framework.Federation.default_config with
-      Framework.Federation.testbeds = 10;
-      shards = 4;
-      (* High enough that a one-month window actually sees federation-wide
-         backbone events, so the gated run exercises the cross-shard
-         injection path. *)
-      backbone_faults_per_year = 36.0;
-      base =
-        { Framework.Federation.default_config.Framework.Federation.base with
-          Framework.Campaign.months = 1 };
-    }
-  in
-  (* Reports are compared on the full per-member serialization, with the
-     fields that legitimately vary (shard count, driver) normalized away. *)
-  let fingerprint report =
-    let normalized =
-      { report with
-        Framework.Federation.fed_cfg =
-          { report.Framework.Federation.fed_cfg with
-            Framework.Federation.shards = 1;
-            driver = Framework.Federation.Sequential;
-          };
-      }
-    in
-    Simkit.Json.to_string
-      (Framework.Federation.report_to_json ~full:true normalized)
-  in
-  let timed cfg =
-    let t0 = Unix.gettimeofday () in
-    let report = Framework.Federation.run cfg in
-    (report, Unix.gettimeofday () -. t0)
-  in
-  let sharded, sharded_wall = timed base_cfg in
-  let reference, reference_wall =
-    timed
-      { base_cfg with
-        Framework.Federation.shards = 1;
-        driver = Framework.Federation.Reference;
-      }
-  in
-  let expected = fingerprint sharded in
-  let variants =
-    [ ("K=1 sequential", { base_cfg with Framework.Federation.shards = 1 });
-      ("K=2 sequential", { base_cfg with Framework.Federation.shards = 2 });
-      ("K=8 sequential", { base_cfg with Framework.Federation.shards = 8 });
-      ( "K=4 parallel",
-        { base_cfg with Framework.Federation.driver = Framework.Federation.Parallel } );
-      ( "K=4 interleaved",
-        { base_cfg with
-          Framework.Federation.driver = Framework.Federation.Interleaved 77L } ) ]
-  in
-  let matrix =
-    ("K=4 sequential", true)
-    :: ("K=1 reference", String.equal expected (fingerprint reference))
-    :: List.map
-         (fun (name, cfg) ->
-           (name, String.equal expected (fingerprint (Framework.Federation.run cfg))))
-         variants
-  in
-  let identical = List.for_all snd matrix in
-  let events = sharded.Framework.Federation.events_total in
-  let sharded_events_per_s = float_of_int events /. sharded_wall in
-  let reference_events_per_s =
-    float_of_int reference.Framework.Federation.events_total /. reference_wall
-  in
-  let speedup = sharded_events_per_s /. reference_events_per_s in
-  let c = sharded.Framework.Federation.coordination in
-  Printf.printf "%d members, %d aggregate events, %d barriers\n"
-    base_cfg.Framework.Federation.testbeds events c.Framework.Federation.barriers;
-  Printf.printf "  sharded (K=4):   %.2f s wall, %.0f events/s\n" sharded_wall
-    sharded_events_per_s;
-  Printf.printf "  reference (K=1): %.2f s wall, %.0f events/s\n" reference_wall
-    reference_events_per_s;
-  Printf.printf "  speedup: %.2fx %s\n" speedup
-    (if speedup >= 3.0 then "(target >= 3x: OK)" else "(target >= 3x: MISSED)");
-  List.iter
-    (fun (name, same) ->
-      Printf.printf "  %-18s %s\n" name
-        (if same then "byte-identical" else "DIVERGED"))
-    matrix;
-  Printf.printf
-    "  coordination: %d backbone faults, %d/%d VLANs granted, %d link tests, %d audits\n"
-    c.Framework.Federation.backbone_faults c.Framework.Federation.vlan_grants
-    c.Framework.Federation.vlan_requests c.Framework.Federation.link_tests
-    c.Framework.Federation.audits;
-  if not identical then
-    print_endline "WARNING: federation runs diverged across shard counts!";
-  let json =
-    let open Simkit.Json in
-    Obj
-      [ ("scenario", String "federation");
-        ("testbeds", Int base_cfg.Framework.Federation.testbeds);
-        ("months", Int 1);
-        ("lookahead_s", Float base_cfg.Framework.Federation.lookahead);
-        ("events_total", Int events);
-        ("sharded_wall_s", Float sharded_wall);
-        ("reference_wall_s", Float reference_wall);
-        ("sharded_events_per_s", Float sharded_events_per_s);
-        ("reference_events_per_s", Float reference_events_per_s);
-        ("speedup", Float speedup);
-        ("identical_across_shards", Bool identical);
-        ( "matrix",
-          Obj (List.map (fun (name, same) -> (name, Bool same)) matrix) );
-        ( "coordination",
-          Obj
-            [ ("barriers", Int c.Framework.Federation.barriers);
-              ("backbone_faults", Int c.Framework.Federation.backbone_faults);
-              ("vlan_requests", Int c.Framework.Federation.vlan_requests);
-              ("vlan_grants", Int c.Framework.Federation.vlan_grants);
-              ("vlan_denials", Int c.Framework.Federation.vlan_denials);
-              ("link_tests", Int c.Framework.Federation.link_tests);
-              ("link_failures", Int c.Framework.Federation.link_failures);
-              ("audits", Int c.Framework.Federation.audits);
-              ("min_in_service", Int c.Framework.Federation.min_in_service) ] ) ]
-  in
-  write_bench "federation" json
-
 (* ---- Bechamel micro-benchmarks --------------------------------------------------------- *)
 
 let microbenchmarks () =
@@ -1450,11 +1028,7 @@ let run_all () =
   e10 ();
   e12_scheduler ();
   e13_health ();
-  e14_lint ();
   e15_triage ();
-  e16_engine ();
-  e17_serve ();
-  e18_federation ();
   a1 ();
   a2_a3 ();
   a4 ();
@@ -1464,9 +1038,7 @@ let run_all () =
 
 let scenarios =
   [ ("all", run_all); ("scheduler", e12_scheduler); ("health", e13_health);
-    ("lint", e14_lint); ("triage", e15_triage); ("engine", e16_engine);
-    ("serve", e17_serve); ("federation", e18_federation);
-    ("micro", microbenchmarks) ]
+    ("triage", e15_triage); ("micro", microbenchmarks) ]
 
 let () =
   let scenario = ref "all" in

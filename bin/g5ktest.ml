@@ -282,10 +282,13 @@ let perfgate_cmd =
   in
   let dir_arg n docv doc = Arg.(required & pos n (some string) None & info [] ~docv ~doc) in
   let baseline_arg =
-    dir_arg 0 "BASELINE_DIR" "Directory holding the checked-in baseline BENCH_*.json."
+    dir_arg 0 "BASELINE_DIR"
+      "Directory holding the checked-in baselines BENCH_campaign-default.json and \
+       BENCH_campaign-attached.json."
   in
   let current_arg =
-    dir_arg 1 "CURRENT_DIR" "Directory holding the freshly generated BENCH_*.json to judge."
+    dir_arg 1 "CURRENT_DIR"
+      "Directory holding the same two documents from a fresh traced perfbench run."
   in
   let threshold_arg =
     let doc = "Allowed regression of every gating figure, in percent, in [0, 100)." in
@@ -295,12 +298,11 @@ let perfgate_cmd =
   Cmd.v
     (Cmd.info "perfgate"
        ~doc:
-         "Compare the engine, serve, federation and lint benchmark runs \
-          against the checked-in baselines; exit 1 when a gating figure \
-          regresses beyond the threshold (default 20%; the lint wall time \
-          also has an absolute floor) or a correctness bit such as \
-          byte-identical federated runs reads false, and exit 2 when a \
-          document or field is missing")
+         "Compare traced perfbench runs of campaign-default and campaign-attached \
+          against the checked-in baselines; exit 1 when a gating figure (a \
+          layer's events or minor words per event, or the serve p99 staleness) \
+          regresses beyond the threshold (default 5%) or `correct' reads false, \
+          and exit 2 when a document or metric is missing")
     Term.(const run $ baseline_arg $ current_arg $ threshold_arg)
 
 (* ---- hunt ------------------------------------------------------------------- *)

@@ -291,14 +291,14 @@ let advance_parallel cfg members ~wend =
     | [] -> ()
   end
 
-(* The unsharded baseline: one global event loop over the whole
+(* The unsharded oracle: one global event loop over the whole
    federation, always executing the earliest pending event across all
    members (ties to the lowest member index), and re-establishing the
    cross-testbed coupling state after every event — the conservative
    zero-lookahead discipline an unsharded engine must follow, since any
    event may have changed what the coordinator can see.  Produces
-   byte-identical results; the federation benchmark (E18) measures its
-   aggregate throughput against the sharded drivers. *)
+   byte-identical results, so [test_federation] checks the sharded
+   drivers against it. *)
 let advance_reference members ~wend =
   let continue_ = ref true in
   while !continue_ do

@@ -44,8 +44,8 @@ type driver =
           event loop: always execute the globally earliest event across
           all members, re-establishing the cross-testbed coupling state
           after every event as a zero-lookahead coordinator must.  Same
-          results, no window batching — the baseline the federation
-          benchmark (E18) measures sharding against *)
+          results, no window batching — the unsharded oracle that the
+          differential tests compare the sharded drivers with *)
 
 val driver_to_string : driver -> string
 

@@ -1,43 +1,40 @@
-type direction = Lower | Higher | Must_be_true
+type kind = Must_be_true | Lower | Informational
 
 type row = {
-  bench : string;
-  path : string;
-  direction : direction;
-  gating : bool;
-  floor : float;
+  workload : string;
+  metric : string;
+  kind : kind;
 }
 
-let lint_floor_s = 0.25
+(* The engine event labels perfbench charges events to. *)
+let labels =
+  [ "scheduler"; "workload"; "oar"; "oar-refresh"; "deploy"; "faults"; "serve"; "audit";
+    "health"; "triage-delay"; "ci-cron"; "unlabelled" ]
 
-let gate ?(floor = 0.0) bench path direction =
-  { bench; path; direction; gating = true; floor }
+let workloads = [ "campaign-default"; "campaign-attached" ]
 
-let info bench path direction = { (gate bench path direction) with gating = false }
+let rows workload =
+  let row kind metric = { workload; metric; kind } in
+  let per_label label =
+    [ row Lower (label ^ ".events");
+      row Lower (label ^ ".words_per_event");
+      row Informational (label ^ ".host_ms") ]
+  in
+  let federation =
+    if workload = "campaign-default" then
+      List.map (row Informational)
+        [ "federation.seq_s"; "federation.par_s"; "federation.parallel_efficiency" ]
+    else []
+  in
+  (row Must_be_true "correct" :: List.concat_map per_label labels)
+  @ (row Lower "serve.staleness_p99_s"
+    :: List.map (row Informational)
+         [ "engine.step_p50_us"; "engine.step_p99_us"; "engine.step_max_us"; "lint.ms" ])
+  @ federation
 
-let table =
-  [ gate "engine" "step_latency_us.p95" Lower;
-    info "engine" "events_per_s" Higher;
-    info "engine" "minor_words_per_event" Lower;
-    gate "serve" "staleness_s.p99" Lower;
-    gate "serve" "conservation_ok" Must_be_true;
-    info "serve" "reads_per_s" Higher;
-    info "serve" "hit_ratio" Higher;
-    gate "federation" "identical_across_shards" Must_be_true;
-    gate "federation" "speedup" Higher;
-    info "federation" "sharded_events_per_s" Higher;
-    info "federation" "reference_events_per_s" Higher;
-    gate ~floor:lint_floor_s "lint" "lint.wall_s" Lower;
-    gate "lint" "audit.reports_identical" Must_be_true;
-    info "lint" "lint.configurations" Higher;
-    info "lint" "lint.diagnostics" Lower ]
+let table = List.concat_map rows workloads
 
-let benches =
-  List.fold_left
-    (fun acc r -> if List.mem r.bench acc then acc else acc @ [ r.bench ])
-    [] table
-
-let file bench = "BENCH_" ^ bench ^ ".json"
+let file workload = "BENCH_" ^ workload ^ ".json"
 
 type docs = (string * Simkit.Json.t) list
 
@@ -54,36 +51,43 @@ let map_result f xs =
 
 let load dir =
   map_result
-    (fun bench ->
-      let path = Filename.concat dir (file bench) in
+    (fun workload ->
+      let path = Filename.concat dir (file workload) in
       let* text =
         try Ok (In_channel.with_open_bin path In_channel.input_all)
         with Sys_error e -> Error e
       in
       match Simkit.Json.of_string text with
-      | Ok doc -> Ok (bench, doc)
+      | Ok doc -> Ok (workload, doc)
       | Error e -> Error (Printf.sprintf "%s: %s" path e))
-    benches
+    workloads
 
 type verdict = {
   ok : bool;
   lines : string list;
 }
 
-let default_threshold_pct = 20.0
+let default_threshold_pct = 5.0
 
-(* The row's field in one run's documents, converted by [kind]. *)
-let field role docs r (kind, convert) =
-  let missing = Printf.sprintf "%s %s: missing %s field %S" role (file r.bench) kind r.path in
-  let member acc key = Option.bind acc (Simkit.Json.member key) in
-  let doc = List.assoc_opt r.bench docs in
+(* The row's value in one run's documents, converted by [convert]: a
+   top-level member for a boolean row, [metrics.<metric>.value] for a
+   numeric one. *)
+let field role docs r (what, convert) =
+  let missing = Printf.sprintf "%s %s: missing %s %S" role (file r.workload) what r.metric in
+  let value doc =
+    match r.kind with
+    | Must_be_true -> Simkit.Json.member r.metric doc
+    | Lower | Informational ->
+      Option.bind (Simkit.Json.member "metrics" doc) (fun metrics ->
+          Option.bind (Simkit.Json.member r.metric metrics) (Simkit.Json.member "value"))
+  in
   Option.to_result ~none:missing
-    (Option.bind (List.fold_left member doc (String.split_on_char '.' r.path)) convert)
+    (Option.bind (Option.bind (List.assoc_opt r.workload docs) value) convert)
 
 let boolean = ("boolean", function Simkit.Json.Bool b -> Some b | _ -> None)
 
 let numeric =
-  ( "numeric",
+  ( "numeric metric",
     function
     | Simkit.Json.Float f -> Some f
     | Simkit.Json.Int i -> Some (float_of_int i)
@@ -92,26 +96,23 @@ let numeric =
 (* One row: whether it holds, and its report line. *)
 let judge t ~baseline ~current r =
   let verdict ok rule =
-    let tag = if not r.gating then "informational" else if ok then "ok" else "FAIL" in
-    (ok || not r.gating, Printf.sprintf "%-36s %s; %s" (r.bench ^ " " ^ r.path) rule tag)
+    let tag = if r.kind = Informational then "informational" else if ok then "ok" else "FAIL" in
+    (ok, Printf.sprintf "%-48s %s; %s" (r.workload ^ " " ^ r.metric) rule tag)
   in
-  match r.direction with
+  match r.kind with
   | Must_be_true ->
     let* b = field "baseline" baseline r boolean in
     let* c = field "current" current r boolean in
     Ok (verdict c (Printf.sprintf "baseline %b, current %b, must be true" b c))
-  | Lower | Higher ->
+  | Lower | Informational ->
     let* b = field "baseline" baseline r numeric in
     let* c = field "current" current r numeric in
     let delta = if b = 0.0 then 0.0 else (c -. b) /. b *. 100.0 in
     let shown = Printf.sprintf "baseline %g, current %g (%+.1f%%)" b c delta in
-    if not r.gating then Ok (verdict true shown)
-    else if r.direction = Lower then
-      let limit = Float.max r.floor (b *. (1.0 +. t)) in
-      Ok (verdict (c <= limit) (Printf.sprintf "%s, limit <= %g" shown limit))
+    if r.kind = Informational then Ok (verdict true shown)
     else
-      let limit = Float.max r.floor (b *. (1.0 -. t)) in
-      Ok (verdict (c >= limit) (Printf.sprintf "%s, limit >= %g" shown limit))
+      let limit = b *. (1.0 +. t) in
+      Ok (verdict (c <= limit) (Printf.sprintf "%s, limit <= %g" shown limit))
 
 let check ?(threshold_pct = default_threshold_pct) ~baseline ~current () =
   if not (Float.is_finite threshold_pct && threshold_pct >= 0.0 && threshold_pct < 100.0)
@@ -121,7 +122,7 @@ let check ?(threshold_pct = default_threshold_pct) ~baseline ~current () =
     let* judged = map_result (judge t ~baseline ~current) table in
     let failed =
       List.filter_map
-        (fun (r, (ok, _)) -> if ok then None else Some (r.bench ^ " " ^ r.path))
+        (fun (r, (ok, _)) -> if ok then None else Some (r.workload ^ " " ^ r.metric))
         (List.combine table judged)
     in
     let summary =

@@ -46,8 +46,9 @@ val zipf_table : n:int -> s:float -> zipf_table
 
 val zipf_sample : Prng.t -> zipf_table -> int
 (** One rank, drawing exactly one {!Prng.float} like {!zipf} and
-    returning the same rank for the same draw.  O(log n), allocates
-    nothing. *)
+    returning the same rank for the same draw.  O(log n).  It allocates
+    what that one draw allocates (the boxed [int64] PRNG state, 8 words
+    with OCaml 5.1) and nothing more, whatever [n]. *)
 
 val poisson : Prng.t -> mean:float -> int
 (** Poisson-distributed count (Knuth for small means, normal approximation

@@ -15,10 +15,22 @@ let rec equal a b =
   | Float x, Float y -> x = y
   | Int x, Float y | Float y, Int x -> float_of_int x = y
   | String x, String y -> String.equal x y
-  | List x, List y -> List.length x = List.length y && List.for_all2 equal x y
-  | Obj x, Obj y ->
-    List.length x = List.length y
-    && List.for_all2 (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2) x y
+  | List x, List y -> equal_list x y
+  | Obj x, Obj y -> equal_members x y
+  | _ -> false
+
+(* Direct recursion rather than [List.for_all2] with a closure, so
+   comparing equal documents allocates nothing. *)
+and equal_list xs ys =
+  match (xs, ys) with
+  | [], [] -> true
+  | x :: xs, y :: ys -> equal x y && equal_list xs ys
+  | _ -> false
+
+and equal_members xs ys =
+  match (xs, ys) with
+  | [], [] -> true
+  | (k1, v1) :: xs, (k2, v2) :: ys -> String.equal k1 k2 && equal v1 v2 && equal_members xs ys
   | _ -> false
 
 let escape s =

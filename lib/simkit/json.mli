@@ -18,7 +18,7 @@ type t =
 
 val equal : t -> t -> bool
 (** Structural equality; object member order is significant (the Reference
-    API emits members in canonical order). *)
+    API emits members in canonical order).  Allocates nothing. *)
 
 val to_string : ?indent:int -> t -> string
 (** Serialise; [indent > 0] pretty-prints.  JSON has no literal for a

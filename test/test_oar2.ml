@@ -713,7 +713,7 @@ let words_of ?(reps = 1000) f =
 (* The scans cost the same whatever the number of hosts they visit, and
    the configuration lookup the same whatever the size of the family. *)
 let test_allocation_contract () =
-  let _, oar = mk () in
+  let instance, oar = mk () in
   let hosts = Oar.Property.hosts (Oar.Manager.properties oar) in
   let first n = Array.of_list (List.filteri (fun i _ -> i < n) hosts) in
   let one = first 1 and hundred = first 100 in
@@ -752,7 +752,45 @@ let test_allocation_contract () =
   in
   checkw "config_of_axes: environments = kwapi"
     (words_of (lookup Framework.Testdef.Kwapi))
-    (words_of (lookup Framework.Testdef.Environments))
+    (words_of (lookup Framework.Testdef.Environments));
+  (* Two documents built apart, so [equal] cannot stop at a shared
+     pointer; every member is an object, as in a Reference API
+     document. *)
+  let doc n =
+    Simkit.Json.(Obj (List.init n (fun i -> (string_of_int i, Obj [ ("v", Int i) ]))))
+  in
+  let diff_equal n =
+    let a = doc n and b = doc n in
+    fun () -> Simkit.Json.diff a b = []
+  in
+  checkw "Json.diff of equal documents: 1 member = 200 members" (words_of (diff_equal 1))
+    (words_of (diff_equal 200));
+  let prune hosts =
+    let g = Oar.Gantt.create () in
+    Array.iter (fun host -> Oar.Gantt.reserve g ~host ~start:10.0 ~stop:20.0 ~job:0) hosts;
+    fun () ->
+      Oar.Gantt.prune g ~before:5.0;
+      true
+  in
+  checkw "Gantt.prune with nothing expired: 1 host = 100 hosts" (words_of (prune one))
+    (words_of (prune hundred));
+  let node = Testbed.Instance.node instance "grisou-1.nancy" in
+  let refapi = instance.Testbed.Instance.refapi in
+  checkb "the node's document is described from its hardware" true
+    (Testbed.Refapi.described_from refapi node.Testbed.Node.host node.Testbed.Node.actual);
+  checkw "Refapi.described_from allocates nothing" 0.0
+    (words_of (fun () ->
+         Testbed.Refapi.described_from refapi node.Testbed.Node.host node.Testbed.Node.actual));
+  (* [zipf_sample] allocates its one [Prng.float] draw (the boxed int64
+     state) and nothing for the table's size. *)
+  let rng = Simkit.Prng.create 7L in
+  let zipf n =
+    let table = Simkit.Dist.zipf_table ~n ~s:1.1 in
+    fun () -> Simkit.Dist.zipf_sample rng table > 0
+  in
+  let draw = words_of (fun () -> Simkit.Prng.float rng >= 0.0) in
+  checkw "Dist.zipf_sample: n = 100 = one Prng.float" draw (words_of (zipf 100));
+  checkw "Dist.zipf_sample: n = 10,000 = one Prng.float" draw (words_of (zipf 10_000))
 
 (* ---- exact-host requests ------------------------------------------------------------ *)
 

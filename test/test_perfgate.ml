@@ -1,48 +1,54 @@
-(* The CI perf gate: must fail on a real slow-down or a broken
-   correctness bit, pass on run-to-run jitter within the threshold, and
-   reject unreadable benchmark documents rather than waving them
-   through. *)
+(* The perf gate over the checked-in perfbench baselines: it must fail on
+   a real change of a gating row or a broken correctness bit, never on a
+   host time, and reject unreadable documents rather than wave them
+   through.  Every case starts from the real baselines and edits one
+   metric. *)
 
 module P = Framework.Perfgate
 module J = Simkit.Json
 
 let checkb = Alcotest.(check bool)
 
-let engine ?(events_per_s = 50000.0) ?(p95 = 100.0) () =
-  J.Obj
-    [ ("events_per_s", J.Float events_per_s);
-      ("minor_words_per_event", J.Float 3000.0);
-      ("step_latency_us", J.Obj [ ("p95", J.Float p95) ]) ]
+(* The test's dune rule copies the baselines one level above the test
+   executable. *)
+let baseline_dir = Filename.concat (Filename.dirname Sys.executable_name) Filename.parent_dir_name
 
-let serve ?(p99 = 400.0) ?(conservation_ok = true) () =
-  J.Obj
-    [ ("reads_per_s", J.Float 1.9e6);
-      ("hit_ratio", J.Float 0.9996);
-      ("conservation_ok", J.Bool conservation_ok);
-      ("staleness_s", J.Obj [ ("p50", J.Float 0.0); ("p99", J.Float p99) ]) ]
+let baseline =
+  lazy
+    (match P.load baseline_dir with
+     | Ok d -> d
+     | Error e -> Alcotest.failf "loading the checked-in baselines: %s" e)
 
-let federation ?(speedup = 3.6) ?(identical = true) () =
-  J.Obj
-    [ ("sharded_events_per_s", J.Float 41000.0);
-      ("reference_events_per_s", J.Float 11000.0);
-      ("speedup", J.Float speedup);
-      ("identical_across_shards", J.Bool identical) ]
+let update key f = function
+  | J.Obj members -> J.Obj (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) members)
+  | doc -> doc
 
-let lint ?(wall_s = 0.05) ?(diagnostics = 0) ?(reports_identical = true) () =
-  J.Obj
-    [ ( "lint",
-        J.Obj
-          [ ("configurations", J.Int 751);
-            ("wall_s", J.Float wall_s);
-            ("diagnostics", J.Int diagnostics) ] );
-      ("audit", J.Obj [ ("reports_identical", J.Bool reports_identical) ]) ]
+let number = function
+  | J.Float f -> f
+  | J.Int i -> float_of_int i
+  | _ -> Alcotest.fail "metric value is not a number"
 
-let docs ?(engine = engine ()) ?(serve = serve ()) ?(federation = federation ())
-    ?(lint = lint ()) () =
-  [ ("engine", engine); ("serve", serve); ("federation", federation); ("lint", lint) ]
+(* The baselines with [workload]'s document passed through [f]. *)
+let edit workload f =
+  List.map (fun (w, doc) -> if w = workload then (w, f doc) else (w, doc)) (Lazy.force baseline)
 
-let gate ?threshold_pct ?(baseline = docs ()) current =
-  match P.check ?threshold_pct ~baseline ~current () with
+let edit_metric workload metric f =
+  edit workload (update "metrics" (update metric (update "value" f)))
+
+(* The baselines with one metric's value multiplied by [k]. *)
+let scaled workload metric k = edit_metric workload metric (fun v -> J.Float (number v *. k))
+
+let value workload metric =
+  match
+    Option.bind
+      (J.member "metrics" (List.assoc workload (Lazy.force baseline)))
+      (fun m -> Option.bind (J.member metric m) (J.member "value"))
+  with
+  | Some v -> number v
+  | None -> Alcotest.failf "baseline %s lacks %s" workload metric
+
+let gate ?threshold_pct current =
+  match P.check ?threshold_pct ~baseline:(Lazy.force baseline) ~current () with
   | Ok v -> v
   | Error e -> Alcotest.failf "check failed: %s" e
 
@@ -50,183 +56,195 @@ let starts_with prefix line =
   String.length line >= String.length prefix
   && String.sub line 0 (String.length prefix) = prefix
 
+let ends_with suffix line =
+  let n = String.length line and k = String.length suffix in
+  n >= k && String.sub line (n - k) k = suffix
+
 let contains sub line =
   let n = String.length sub in
   let rec from i = i + n <= String.length line && (String.sub line i n = sub || from (i + 1)) in
   from 0
 
-(* The report line of one row holds [shown]. *)
-let row_shows v row shown =
-  List.exists (fun line -> starts_with row line && contains shown line) v.P.lines
+(* The report line of [workload]'s [metric] row. *)
+let row_line v workload metric =
+  let prefix = workload ^ " " ^ metric ^ " " in
+  match List.find_opt (starts_with prefix) v.P.lines with
+  | Some line -> line
+  | None -> Alcotest.failf "no row for %s %s" workload metric
 
-(* ---- engine gate ------------------------------------------------------------- *)
+let row_tagged v workload metric tag = ends_with ("; " ^ tag) (row_line v workload metric)
+
+let summary v = List.nth v.P.lines (List.length v.P.lines - 1)
+
+(* ---- gating rows ------------------------------------------------------------------ *)
 
 let test_pass_within_threshold () =
-  let v = gate (docs ~engine:(engine ~p95:115.0 ()) ()) in
-  checkb "15% regression passes at 20% threshold" true v.P.ok
+  let v = gate (scaled "campaign-attached" "scheduler.words_per_event" 1.04) in
+  checkb "+4% words per event passes at the 5% default" true v.P.ok
 
 let test_exact_limit_passes () =
-  let v = gate (docs ~engine:(engine ~p95:120.0 ()) ()) in
+  let k = 1.0 +. (P.default_threshold_pct /. 100.0) in
+  let v = gate (scaled "campaign-default" "workload.words_per_event" k) in
   checkb "exactly the limit still passes" true v.P.ok
 
 let test_fail_beyond_threshold () =
-  (* The acceptance scenario: an injected >=25% slow-down must break CI. *)
-  let v = gate (docs ~engine:(engine ~p95:125.0 ()) ()) in
-  checkb "25% regression fails" false v.P.ok;
-  checkb "verdict says FAIL" true (List.exists (starts_with "perfgate: FAIL") v.P.lines)
+  (* The acceptance scenario: one layer allocating 10% more per event
+     must break CI, and the verdict must say which layer. *)
+  let v = gate (scaled "campaign-attached" "serve.words_per_event" 1.10) in
+  checkb "+10% words per event fails" false v.P.ok;
+  checkb "the row is tagged FAIL" true
+    (row_tagged v "campaign-attached" "serve.words_per_event" "FAIL");
+  checkb "the verdict names the row" true
+    (summary v = "perfgate: FAIL (campaign-attached serve.words_per_event)");
+  let v = gate (scaled "campaign-default" "oar.events" 1.10) in
+  checkb "+10% events in one layer fails" false v.P.ok
 
-let test_throughput_does_not_gate () =
-  let v = gate (docs ~engine:(engine ~events_per_s:10000.0 ~p95:100.0 ()) ()) in
-  checkb "events/s drop alone is informational" true v.P.ok
+let test_host_time_informational () =
+  let v = gate (scaled "campaign-default" "workload.host_ms" 3.0) in
+  checkb "a host time x3 passes" true v.P.ok;
+  checkb "and is reported as informational" true
+    (row_tagged v "campaign-default" "workload.host_ms" "informational");
+  checkb "a step latency x3 passes" true
+    (gate (scaled "campaign-attached" "engine.step_p99_us" 3.0)).P.ok
 
 let test_custom_threshold () =
-  let v = gate ~threshold_pct:10.0 (docs ~engine:(engine ~p95:115.0 ()) ()) in
-  checkb "15% regression fails at 10% threshold" false v.P.ok
+  let current = scaled "campaign-attached" "audit.words_per_event" 1.08 in
+  checkb "+8% fails at the 5% default" false (gate current).P.ok;
+  checkb "+8% passes at 10%" true (gate ~threshold_pct:10.0 current).P.ok
 
-(* ---- documents on disk --------------------------------------------------------- *)
+(* ---- documents on disk ------------------------------------------------------------- *)
 
-let bench_json =
-  {|{
-  "scenario": "engine",
-  "months": 2,
-  "events_executed": 183842,
-  "wall_s": 3.8,
-  "events_per_s": 48211.9,
-  "minor_words_per_event": 2937.7,
-  "step_latency_us": { "p50": 2.1, "p95": 64.8, "p99": 416.0, "max": 6837.8 },
-  "anchor_events_per_s": 6500.0
-}|}
+let test_baselines_pass_against_themselves () =
+  let v = gate (Lazy.force baseline) in
+  checkb "the baselines pass against themselves" true v.P.ok;
+  checkb "both are correct" true
+    (row_tagged v "campaign-default" "correct" "ok"
+    && row_tagged v "campaign-attached" "correct" "ok");
+  checkb "a dotted metric name is one key of [metrics]" true
+    (contains
+       (Printf.sprintf "baseline %g," (value "campaign-attached" "serve.staleness_p99_s"))
+       (row_line v "campaign-attached" "serve.staleness_p99_s"))
 
-(* [P.load] on a directory holding one BENCH_<bench>.json per bench:
-   the [texts] given, the defaults above for the others. *)
+(* [P.load] on a directory holding the baselines, with the [texts] given
+   in place of some of them. *)
 let load_texts texts =
   let dir = Filename.temp_dir "perfgate" "" in
   let paths =
     List.map
-      (fun (bench, doc) ->
-        let path = Filename.concat dir (P.file bench) in
+      (fun (workload, doc) ->
+        let path = Filename.concat dir (P.file workload) in
         Out_channel.with_open_bin path (fun oc ->
             output_string oc
-              (Option.value (List.assoc_opt bench texts) ~default:(J.to_string doc)));
+              (Option.value (List.assoc_opt workload texts) ~default:(J.to_string doc)));
         path)
-      (docs ())
+      (Lazy.force baseline)
   in
   let loaded = P.load dir in
   List.iter Sys.remove paths;
   Sys.rmdir dir;
   loaded
 
-let load_ok texts =
-  match load_texts texts with Ok d -> d | Error e -> Alcotest.failf "load failed: %s" e
+let rejected current =
+  Result.is_error (P.check ~baseline:(Lazy.force baseline) ~current ())
 
-let test_parse_bench_document () =
-  let d = load_ok [ ("engine", bench_json) ] in
-  let v = gate ~baseline:d d in
-  checkb "document against itself passes" true v.P.ok;
-  checkb "p95 read from the nested path" true
-    (row_shows v "engine step_latency_us.p95" "baseline 64.8,")
+let drop_metric workload metric =
+  edit workload
+    (update "metrics" (function
+      | J.Obj members -> J.Obj (List.remove_assoc metric members)
+      | doc -> doc))
 
-let test_parse_rejects_garbage () =
+let test_rejects_garbage () =
+  checkb "a written copy of the baselines loads" true (Result.is_ok (load_texts []));
   checkb "syntax error rejected" true
-    (Result.is_error (load_texts [ ("engine", "not json") ]));
+    (Result.is_error (load_texts [ ("campaign-attached", "not json") ]));
   checkb "missing directory rejected" true
     (Result.is_error (P.load (Filename.concat (Filename.get_temp_dir_name ()) "perfgate-absent")));
-  let rejects doc =
-    Result.is_error (P.check ~baseline:(docs ()) ~current:(docs ~engine:doc ()) ())
-  in
-  checkb "missing p95 rejected" true
-    (rejects
-       (J.of_string_exn
-          {|{"events_per_s": 1.0, "minor_words_per_event": 2.0, "step_latency_us": {}}|}));
-  checkb "missing events/s rejected" true
-    (rejects (J.of_string_exn {|{"step_latency_us": {"p95": 1.0}}|}))
+  checkb "a missing gating metric is an error" true
+    (rejected (drop_metric "campaign-default" "deploy.words_per_event"));
+  checkb "a missing correctness bit is an error" true
+    (rejected
+       (edit "campaign-attached" (function
+         | J.Obj members -> J.Obj (List.remove_assoc "correct" members)
+         | doc -> doc)));
+  checkb "a document without metrics is an error" true
+    (rejected (edit "campaign-default" (fun _ -> J.Obj [ ("correct", J.Bool true) ])))
 
-(* ---- lint gate --------------------------------------------------------------- *)
-
-let test_lint_floor_absorbs_ms_noise () =
-  (* A 4x regression on a millisecond-scale wall stays under the
-     absolute floor and must not flap the gate. *)
-  let v = gate (docs ~lint:(lint ~wall_s:0.2 ()) ()) in
-  checkb "under the floor passes" true v.P.ok
-
-let test_lint_fails_beyond_floor_and_threshold () =
-  let v = gate (docs ~lint:(lint ~wall_s:(P.lint_floor_s +. 0.01) ()) ()) in
-  checkb "beyond floor and threshold fails" false v.P.ok
-
-let test_lint_relative_threshold_above_floor () =
-  (* Once the baseline itself clears the floor, the relative allowance
-     takes over: +15% passes, +25% fails at the default 20%. *)
-  let baseline = docs ~lint:(lint ~wall_s:1.0 ()) () in
-  let v_ok = gate ~baseline (docs ~lint:(lint ~wall_s:1.15 ()) ()) in
-  let v_bad = gate ~baseline (docs ~lint:(lint ~wall_s:1.25 ()) ()) in
-  checkb "+15%% passes" true v_ok.P.ok;
-  checkb "+25%% fails" false v_bad.P.ok
-
-let test_lint_diagnostics_do_not_gate () =
-  let v = gate (docs ~lint:(lint ~diagnostics:7 ()) ()) in
-  checkb "diagnostic count is informational" true v.P.ok
-
-let test_lint_parse_bench_document () =
-  let doc =
-    {|{"scenario": "lint",
-       "lint": {"configurations": 751, "presets": 7, "wall_s": 0.042, "diagnostics": 0},
-       "audit": {"campaigns": 2, "reports_identical": true}}|}
-  in
-  let d = load_ok [ ("lint", doc) ] in
-  let v = gate ~baseline:d d in
-  checkb "document against itself passes" true v.P.ok;
-  checkb "wall read from the nested path" true
-    (row_shows v "lint lint.wall_s" "baseline 0.042,")
-
-let test_lint_parse_rejects_garbage () =
-  let rejects text =
-    Result.is_error
-      (P.check ~baseline:(docs ()) ~current:(docs ~lint:(J.of_string_exn text) ()) ())
-  in
-  checkb "missing lint object rejected" true
-    (rejects {|{"wall_s": 1.0, "audit": {"reports_identical": true}}|});
-  checkb "missing wall rejected" true
-    (rejects
-       {|{"lint": {"configurations": 1, "diagnostics": 0},
-          "audit": {"reports_identical": true}}|})
-
-let test_lint_reports_identical_gates () =
-  let v = gate (docs ~lint:(lint ~reports_identical:false ()) ()) in
-  checkb "audited reports that differ fail" false v.P.ok
-
-(* ---- serve gate -------------------------------------------------------------- *)
+(* ---- serve ------------------------------------------------------------------------- *)
 
 let test_serve_p99_regression () =
-  checkb "+15% passes" true (gate (docs ~serve:(serve ~p99:460.0 ()) ())).P.ok;
-  checkb "+25% fails" false (gate (docs ~serve:(serve ~p99:500.0 ()) ())).P.ok
+  checkb "the attached baseline has stale reads" true
+    (value "campaign-attached" "serve.staleness_p99_s" > 0.0);
+  checkb "+4% passes" true (gate (scaled "campaign-attached" "serve.staleness_p99_s" 1.04)).P.ok;
+  checkb "+10% fails" false (gate (scaled "campaign-attached" "serve.staleness_p99_s" 1.10)).P.ok
 
 let test_serve_zero_baseline () =
-  let baseline = docs ~serve:(serve ~p99:0.0 ()) () in
-  checkb "zero stays zero" true (gate ~baseline (docs ~serve:(serve ~p99:0.0 ()) ())).P.ok;
-  checkb "any staleness fails" false
-    (gate ~baseline (docs ~serve:(serve ~p99:0.01 ()) ())).P.ok
+  (* The default campaign serves nothing: zero stays zero, and a layer
+     that appears where the baseline had none is a change. *)
+  checkb "no staleness in the default baseline" true
+    (value "campaign-default" "serve.staleness_p99_s" = 0.0);
+  checkb "zero stays zero" true (gate (Lazy.force baseline)).P.ok;
+  let set v = edit_metric "campaign-default" "serve.staleness_p99_s" (fun _ -> J.Float v) in
+  checkb "any staleness fails" false (gate (set 0.01)).P.ok;
+  checkb "any serve event fails" false
+    (gate (edit_metric "campaign-default" "serve.events" (fun _ -> J.Int 1))).P.ok
 
-let test_serve_conservation_gates () =
-  let v = gate (docs ~serve:(serve ~conservation_ok:false ()) ()) in
-  checkb "lost reads fail" false v.P.ok
+(* ---- correctness and the federation ----------------------------------------------- *)
 
-(* ---- federation gate ----------------------------------------------------------- *)
+let test_correct_required () =
+  (* perfbench's [correct] folds in the federation's Parallel and
+     Sequential report digests: a run that diverges fails the gate even
+     when every layer got cheaper. *)
+  let current =
+    List.map
+      (fun (w, doc) ->
+        (w, if w = "campaign-default" then update "correct" (fun _ -> J.Bool false) doc else doc))
+      (scaled "campaign-default" "scheduler.words_per_event" 0.5)
+  in
+  let v = gate current in
+  checkb "correct: false fails despite the saving" false v.P.ok;
+  checkb "the verdict names the row" true (summary v = "perfgate: FAIL (campaign-default correct)")
 
-let test_federation_speedup () =
-  checkb "-15% passes" true (gate (docs ~federation:(federation ~speedup:3.06 ()) ())).P.ok;
-  checkb "-25% fails" false (gate (docs ~federation:(federation ~speedup:2.7 ()) ())).P.ok
+let test_federation_efficiency_informational () =
+  let slower =
+    edit_metric "campaign-default" "federation.parallel_efficiency" (fun v ->
+        J.Float (number v /. 3.0))
+  in
+  let v = gate slower in
+  checkb "a third of the efficiency passes" true v.P.ok;
+  checkb "and is reported as informational" true
+    (row_tagged v "campaign-default" "federation.parallel_efficiency" "informational");
+  checkb "a federation wall time x3 passes" true
+    (gate (scaled "campaign-default" "federation.par_s" 3.0)).P.ok
 
-let test_federation_identical_required () =
-  (* A faster federation that no longer replays byte-identically is a
-     broken optimization, whatever its speedup. *)
-  let v = gate (docs ~federation:(federation ~speedup:5.0 ~identical:false ()) ()) in
-  checkb "not identical fails despite the speedup" false v.P.ok
+(* ---- lint -------------------------------------------------------------------------- *)
+
+let test_lint_document () =
+  let v = gate (Lazy.force baseline) in
+  List.iter
+    (fun w ->
+      checkb (w ^ " lint.ms read from its document") true
+        (contains (Printf.sprintf "baseline %g," (value w "lint.ms")) (row_line v w "lint.ms")))
+    [ "campaign-default"; "campaign-attached" ]
+
+let test_lint_ms_noise_informational () =
+  (* The analysis takes milliseconds, far below runner noise. *)
+  let v = gate (scaled "campaign-attached" "lint.ms" 4.0) in
+  checkb "lint.ms x4 passes" true v.P.ok;
+  checkb "and is reported as informational" true
+    (row_tagged v "campaign-attached" "lint.ms" "informational")
+
+let test_lint_rejects_garbage () =
+  checkb "a non-numeric lint.ms is an error" true
+    (rejected (edit_metric "campaign-default" "lint.ms" (fun _ -> J.String "fast")));
+  checkb "a missing lint.ms is an error" true (rejected (drop_metric "campaign-attached" "lint.ms"))
 
 (* ---- threshold ----------------------------------------------------------------- *)
 
 let test_threshold_validated () =
   let accepts pct =
-    Result.is_ok (P.check ~threshold_pct:pct ~baseline:(docs ()) ~current:(docs ()) ())
+    Result.is_ok
+      (P.check ~threshold_pct:pct ~baseline:(Lazy.force baseline) ~current:(Lazy.force baseline)
+         ())
   in
   List.iter
     (fun pct -> checkb (Printf.sprintf "%g rejected" pct) false (accepts pct))
@@ -242,35 +260,22 @@ let () =
         [ Alcotest.test_case "pass within threshold" `Quick test_pass_within_threshold;
           Alcotest.test_case "exact limit passes" `Quick test_exact_limit_passes;
           Alcotest.test_case "fail beyond threshold" `Quick test_fail_beyond_threshold;
-          Alcotest.test_case "throughput informational" `Quick
-            test_throughput_does_not_gate;
+          Alcotest.test_case "throughput informational" `Quick test_host_time_informational;
           Alcotest.test_case "custom threshold" `Quick test_custom_threshold ] );
       ( "parse",
-        [ Alcotest.test_case "bench document" `Quick test_parse_bench_document;
-          Alcotest.test_case "rejects garbage" `Quick test_parse_rejects_garbage ] );
+        [ Alcotest.test_case "bench document" `Quick test_baselines_pass_against_themselves;
+          Alcotest.test_case "rejects garbage" `Quick test_rejects_garbage ] );
       ( "lint gate",
-        [ Alcotest.test_case "floor absorbs ms noise" `Quick
-            test_lint_floor_absorbs_ms_noise;
-          Alcotest.test_case "fails beyond floor and threshold" `Quick
-            test_lint_fails_beyond_floor_and_threshold;
-          Alcotest.test_case "relative threshold above floor" `Quick
-            test_lint_relative_threshold_above_floor;
-          Alcotest.test_case "diagnostics informational" `Quick
-            test_lint_diagnostics_do_not_gate;
-          Alcotest.test_case "bench document" `Quick test_lint_parse_bench_document;
-          Alcotest.test_case "rejects garbage" `Quick
-            test_lint_parse_rejects_garbage;
-          Alcotest.test_case "reports identical required" `Quick
-            test_lint_reports_identical_gates ] );
+        [ Alcotest.test_case "bench document" `Quick test_lint_document;
+          Alcotest.test_case "ms noise informational" `Quick test_lint_ms_noise_informational;
+          Alcotest.test_case "rejects garbage" `Quick test_lint_rejects_garbage ] );
       ( "serve gate",
         [ Alcotest.test_case "p99 regression" `Quick test_serve_p99_regression;
-          Alcotest.test_case "zero baseline" `Quick test_serve_zero_baseline;
-          Alcotest.test_case "conservation required" `Quick
-            test_serve_conservation_gates ] );
+          Alcotest.test_case "zero baseline" `Quick test_serve_zero_baseline ] );
       ( "federation gate",
-        [ Alcotest.test_case "speedup threshold" `Quick test_federation_speedup;
-          Alcotest.test_case "identical required" `Quick
-            test_federation_identical_required ] );
+        [ Alcotest.test_case "identical required" `Quick test_correct_required;
+          Alcotest.test_case "efficiency informational" `Quick
+            test_federation_efficiency_informational ] );
       ( "threshold",
         [ Alcotest.test_case "validated" `Quick test_threshold_validated ] );
     ]

@@ -940,7 +940,12 @@ let test_json_diff_nested_and_missing () =
     (List.exists (fun (p, _, o) -> p = "only_a" && o = None) diffs)
 
 let test_json_diff_identical () =
-  checki "no diff on equal docs" 0 (List.length (Simkit.Json.diff sample_json sample_json))
+  checki "no diff on equal docs" 0 (List.length (Simkit.Json.diff sample_json sample_json));
+  (* [equal] walks two lists in step: one ending first is a mismatch. *)
+  let open Simkit.Json in
+  checkb "list prefix not equal" false (equal (List [ Int 1 ]) (List [ Int 1; Int 2 ]));
+  checkb "member prefix not equal" false
+    (equal (Obj [ ("a", Int 1); ("b", Int 2) ]) (Obj [ ("a", Int 1) ]))
 
 let prop_json_roundtrip =
   let rec gen_json depth =
