@@ -50,11 +50,3 @@ let artifact t name = List.assoc_opt name t.artifacts
 
 let axes_to_string axes =
   String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) axes)
-
-let pp ppf t =
-  Format.fprintf ppf "%s#%d%s [%s]%s" t.job_name t.number
-    (match t.axes with [] -> "" | axes -> "(" ^ axes_to_string axes ^ ")")
-    (match t.result with Some r -> result_to_string r | None -> "pending")
-    (match t.retry_of with
-     | Some n -> Printf.sprintf " (retry of #%d)" n
-     | None -> "")

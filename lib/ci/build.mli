@@ -45,7 +45,3 @@ val artifact : t -> string -> string option
 
 val axes_to_string : (string * string) list -> string
 (** ["image=debian8,cluster=graphene"] (empty string for []). *)
-
-val pp : Format.formatter -> t -> unit
-(** ["job#12(axes) [FAILURE] (retry of #9)"] — the retry suffix shows
-    the Matrix-Reloaded lineage chain. *)

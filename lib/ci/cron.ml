@@ -6,7 +6,6 @@ type t = {
   dom : field;  (* 1..30 in the simulated calendar *)
   month : field;  (* 1..12 *)
   dow : field;  (* 0 = Sunday *)
-  source : string;
 }
 
 let parse_field text ~lo ~hi =
@@ -60,7 +59,7 @@ let parse source =
         | Values vs -> Values (List.sort_uniq compare (List.map (fun v -> v mod 7) vs))
         | f -> f
       in
-      Ok { minute; hour; dom; month; dow; source }
+      Ok { minute; hour; dom; month; dow }
     | Error e, _, _, _, _
     | _, Error e, _, _, _
     | _, _, Error e, _, _
@@ -104,5 +103,3 @@ let next_fire t ~after =
     else scan (time +. minute)
   in
   scan start
-
-let to_string t = t.source

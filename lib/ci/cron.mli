@@ -18,5 +18,3 @@ val next_fire : t -> after:float -> float
 (** First matching minute boundary strictly after [after].
     @raise Failure if nothing matches within 10 simulated years (a
     contradiction such as day 31 in the 30-day calendar). *)
-
-val to_string : t -> string

@@ -269,7 +269,6 @@ let file t ~now (evidence : evidence) =
 
 let all t = List.rev t.bugs
 let open_bugs t = List.filter (fun b -> b.status = Open) (all t)
-let fixed_bugs t = List.filter (fun b -> b.status = Fixed) (all t)
 let find t ~signature = Hashtbl.find_opt t.by_signature signature
 
 let tombstoned t =
@@ -295,18 +294,6 @@ let mark_fixed t ~now bug =
   end
 
 let counts t = (t.filed_total, t.fixed_live + t.fixed_tomb)
-
-(* The original O(n) scans, kept as the reference oracle the property
-   tests compare the maintained counters against. *)
-let counts_scan t =
-  let filed = List.length t.bugs + Hashtbl.length t.tombstones in
-  let fixed =
-    List.length (fixed_bugs t)
-    + Hashtbl.fold
-        (fun _ b acc -> if b.status = Fixed then acc + 1 else acc)
-        t.tombstones 0
-  in
-  (filed, fixed)
 
 let stats t =
   {

@@ -108,7 +108,6 @@ val all : t -> bug list
 (** Live bugs, by id (filing order). *)
 
 val open_bugs : t -> bug list
-val fixed_bugs : t -> bug list
 val find : t -> signature:string -> bug option
 
 val tombstoned : t -> bug list
@@ -124,10 +123,6 @@ val mark_fixed : t -> now:float -> bug -> unit
 val counts : t -> int * int
 (** (filed, fixed) — O(1), from maintained counters.  Filed counts
     distinct signatures ever seen, including evicted ones. *)
-
-val counts_scan : t -> int * int
-(** The original O(n) list-scan implementation, kept as a reference
-    oracle for tests: must always equal {!counts}. *)
 
 val stats : t -> stats
 

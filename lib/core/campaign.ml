@@ -203,15 +203,8 @@ let prepare cfg =
 
   (* Latent problems predating the campaign. *)
   let faults = Env.faults env in
-  let inject_traced now kind =
-    match Testbed.Faults.inject faults ~now kind with
-    | Some fault ->
-      Env.tracef env ~category:"fault" "#%d %s" fault.Testbed.Faults.id
-        fault.Testbed.Faults.what
-    | None -> ()
-  in
   for _ = 1 to cfg.initial_faults do
-    inject_traced 0.0 (pick_kind rng)
+    ignore (Testbed.Faults.inject faults ~now:0.0 (pick_kind rng))
   done;
   Oar.Manager.refresh_properties env.Env.oar;
 
@@ -228,8 +221,6 @@ let prepare cfg =
         (Simkit.Engine.schedule_at engine ~time (fun eng ->
              match Testbed.Faults.inject faults ~now:(Simkit.Engine.now eng) kind with
              | Some fault ->
-               Env.tracef env ~category:"fault" "#%d %s" fault.Testbed.Faults.id
-                 fault.Testbed.Faults.what;
                ignore
                  (Simkit.Engine.schedule eng ~delay:cfg.infra_fault_duration
                     (fun eng ->
@@ -244,14 +235,9 @@ let prepare cfg =
     (fun (time, kind, target) ->
       ignore
         (Simkit.Engine.schedule_at engine ~time (fun eng ->
-             match
-               Testbed.Faults.inject_on faults ~now:(Simkit.Engine.now eng) kind
-                 target
-             with
-             | Some fault ->
-               Env.tracef env ~category:"fault" "#%d %s" fault.Testbed.Faults.id
-                 fault.Testbed.Faults.what
-             | None -> ())))
+             ignore
+               (Testbed.Faults.inject_on faults ~now:(Simkit.Engine.now eng) kind
+                  target))))
     cfg.health_faults;
 
   (* Continuous fault arrivals, sampled every 6 hours. *)
@@ -260,7 +246,7 @@ let prepare cfg =
       let mean = cfg.fault_rate_per_day *. (sweep /. Simkit.Calendar.day) in
       let n = Simkit.Dist.poisson rng ~mean in
       for _ = 1 to n do
-        inject_traced (Simkit.Engine.now eng) (pick_kind rng)
+        ignore (Testbed.Faults.inject faults ~now:(Simkit.Engine.now eng) (pick_kind rng))
       done;
       true);
 
@@ -280,11 +266,7 @@ let prepare cfg =
       (match triage with
        | None ->
          Jobs.define_all env ~on_evidence:(fun evidence ->
-             match Bugtracker.file tracker ~now:(Env.now env) evidence with
-             | `New bug ->
-               Env.tracef env ~category:"bug" "filed #%d [%s] %s" bug.Bugtracker.id
-                 bug.Bugtracker.category bug.Bugtracker.summary
-             | `Duplicate _ -> ())
+             ignore (Bugtracker.file tracker ~now:(Env.now env) evidence))
        | Some tr ->
          (* Evidence flows through the triage pipeline instead: bundles,
             canonical signatures, drills. *)

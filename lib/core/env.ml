@@ -4,7 +4,6 @@ type t = {
   registry : Kadeploy.Image.registry;
   collector : Monitoring.Collector.t;
   ci : Ci.Server.t;
-  trace : Simkit.Tracelog.t;
 }
 
 let create ?(seed = 42L) ?(executors = 10) () =
@@ -15,13 +14,10 @@ let create ?(seed = 42L) ?(executors = 10) () =
   in
   let collector = Monitoring.Collector.create instance in
   let ci = Ci.Server.create ~executors instance.Testbed.Instance.engine in
-  { instance; oar; registry; collector; ci; trace = Simkit.Tracelog.create () }
+  { instance; oar; registry; collector; ci }
 
 let engine t = t.instance.Testbed.Instance.engine
 let now t = Simkit.Engine.now (engine t)
 let faults t = t.instance.Testbed.Instance.faults
 let fault_ctx t = Testbed.Faults.context (faults t)
 let run_until t horizon = Simkit.Engine.run_until (engine t) horizon
-
-let tracef t ~category fmt =
-  Simkit.Tracelog.recordf t.trace ~time:(now t) ~category fmt

@@ -8,7 +8,6 @@ type t = {
   registry : Kadeploy.Image.registry;
   collector : Monitoring.Collector.t;
   ci : Ci.Server.t;
-  trace : Simkit.Tracelog.t;
 }
 
 val create : ?seed:int64 -> ?executors:int -> unit -> t
@@ -19,7 +18,3 @@ val now : t -> float
 val faults : t -> Testbed.Faults.t
 val fault_ctx : t -> Testbed.Faults.ctx
 val run_until : t -> float -> unit
-
-val tracef :
-  t -> category:string -> ('a, unit, string, unit) format4 -> 'a
-(** Record a trace entry stamped with the current simulated time. *)

@@ -153,10 +153,7 @@ let validate cfg =
   specs
 
 (* Members in service / active faults across the whole federation — the
-   coupling state the coordinator aggregates at audits.  The [Reference]
-   driver re-establishes it after every event, which is what a
-   zero-lookahead coordinator must do: without the window contract, any
-   event might have changed it. *)
+   coupling state the coordinator aggregates at audits. *)
 let coupling_scan members =
   let in_service = ref 0 and active = ref 0 in
   Array.iter
@@ -229,8 +226,6 @@ let coordinate cfg coord members ~t ~wend =
                    Testbed.Faults.Network_partition (Testbed.Faults.Site site)
                with
                | Some fault ->
-                 Env.tracef m.menv ~category:"federation" "backbone #%d %s"
-                   fault.Testbed.Faults.id fault.Testbed.Faults.what;
                  ignore
                    (Simkit.Engine.schedule eng ~delay:duration (fun eng ->
                         Testbed.Faults.repair faults
@@ -293,12 +288,9 @@ let advance_parallel cfg members ~wend =
 
 (* The unsharded oracle: one global event loop over the whole
    federation, always executing the earliest pending event across all
-   members (ties to the lowest member index), and re-establishing the
-   cross-testbed coupling state after every event — the conservative
-   zero-lookahead discipline an unsharded engine must follow, since any
-   event may have changed what the coordinator can see.  Produces
-   byte-identical results, so [test_federation] checks the sharded
-   drivers against it. *)
+   members (ties to the lowest member index), with no shard windows
+   inside a coordinator window.  Produces byte-identical results, so
+   [test_federation] checks the sharded drivers against it. *)
 let advance_reference members ~wend =
   let continue_ = ref true in
   while !continue_ do
@@ -312,10 +304,7 @@ let advance_reference members ~wend =
         | _ -> ())
       members;
     if !best < 0 then continue_ := false
-    else begin
-      ignore (Simkit.Engine.step members.(!best).eng);
-      ignore (Sys.opaque_identity (coupling_scan members))
-    end
+    else ignore (Simkit.Engine.step members.(!best).eng)
   done;
   Array.iter (fun m -> Simkit.Engine.run_until m.eng wend) members
 

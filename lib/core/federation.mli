@@ -42,9 +42,8 @@ type driver =
   | Reference
       (** drive the whole federation through a single unsharded global
           event loop: always execute the globally earliest event across
-          all members, re-establishing the cross-testbed coupling state
-          after every event as a zero-lookahead coordinator must.  Same
-          results, no window batching — the unsharded oracle that the
+          all members.  Same results, no shard batching within a
+          coordinator window — the unsharded oracle that the
           differential tests compare the sharded drivers with *)
 
 val driver_to_string : driver -> string

@@ -157,11 +157,6 @@ let set_health t node to_health ~reason =
       { at = Env.now t.env; host = node.Testbed.Node.host; from_health;
         to_health; reason }
       :: t.events;
-    Env.tracef t.env ~category:"health" "%s: %s -> %s (%s)"
-      node.Testbed.Node.host
-      (Testbed.Node.health_to_string from_health)
-      (Testbed.Node.health_to_string to_health)
-      reason;
     observe_site t site
   end
 
@@ -244,11 +239,7 @@ and finish_repair t node =
                 ~reason:
                   (Printf.sprintf "verification failed %d times"
                      (count t.attempts host))
-            else begin
-              Env.tracef t.env ~category:"health"
-                "%s failed verification; back to repair" host;
-              begin_repair t node
-            end
+            else begin_repair t node
           end
         end)
   end

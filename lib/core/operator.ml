@@ -45,8 +45,6 @@ let fix_bug t bug =
       | None -> ())
     bug.Bugtracker.fault_ids;
   Bugtracker.mark_fixed t.tracker ~now bug;
-  Env.tracef t.env ~category:"operator" "fixed bug #%d [%s]" bug.Bugtracker.id
-    bug.Bugtracker.category;
   (* A repaired description change must reach the OAR database too. *)
   Oar.Manager.refresh_properties t.env.Env.oar;
   t.fixed <- t.fixed + 1

@@ -213,9 +213,7 @@ module Infra = struct
       let handle =
         Watchdog.arm t.wd ~delay (fun () ->
             Hashtbl.remove t.handles (key build);
-            if Ci.Server.interrupt t.env.Env.ci build then
-              Env.tracef t.env ~category:"resilience" "watchdog aborted %s#%d"
-                build.Ci.Build.job_name build.Ci.Build.number)
+            ignore (Ci.Server.interrupt t.env.Env.ci build))
       in
       Hashtbl.replace t.handles (key build) handle
 
@@ -233,21 +231,16 @@ module Infra = struct
     let outage = flag Testbed.Faults.ci_outage_flag in
     if outage && not (Ci.Server.outage ci) then begin
       t.n_ci_outages <- t.n_ci_outages + 1;
-      Env.tracef t.env ~category:"resilience" "CI outage: deferring triggers";
       Ci.Server.set_outage ci true
     end
-    else if (not outage) && Ci.Server.outage ci then begin
-      Env.tracef t.env ~category:"resilience" "CI recovered: replaying queue";
-      Ci.Server.set_outage ci false
-    end;
+    else if (not outage) && Ci.Server.outage ci then Ci.Server.set_outage ci false;
     Ci.Server.set_hang ci (flag Testbed.Faults.build_hang_flag);
     if flag Testbed.Faults.queue_loss_flag then begin
       if not t.queue_loss_handled then begin
         t.queue_loss_handled <- true;
         let n = Ci.Server.drop_queue ci in
         t.n_queue_drops <- t.n_queue_drops + 1;
-        t.n_dropped_builds <- t.n_dropped_builds + n;
-        Env.tracef t.env ~category:"resilience" "queue loss: %d build(s) dropped" n
+        t.n_dropped_builds <- t.n_dropped_builds + n
       end
     end
     else t.queue_loss_handled <- false

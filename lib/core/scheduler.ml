@@ -88,7 +88,7 @@ type t = {
          on trigger/completion instead of rescanning all entries *)
   breakers : (string, Resilience.Breaker.t) Hashtbl.t;  (* family name *)
   mutable families : Testdef.family list;
-  mutable running : bool;
+  mutable started : bool;
   rng : Simkit.Prng.t;
   mutable polls : int;
   mutable triggered : int;
@@ -187,8 +187,6 @@ let backoff_delay t entry ~base =
   | Some d -> d
   | None ->
     t.retries_exhausted <- t.retries_exhausted + 1;
-    Env.tracef t.env ~category:"scheduler" "retry budget exhausted for %s"
-      entry.config.Testdef.config_id;
     Resilience.Retry.reset entry.retry;
     base
 
@@ -242,7 +240,7 @@ let create ?(policy = smart_policy) ?(indexed = true) env =
       site_busy = Hashtbl.create 16;
       breakers = Hashtbl.create 16;
       families = [];
-      running = false;
+      started = false;
       rng = Simkit.Prng.split (Simkit.Engine.rng (Env.engine env));
       polls = 0;
       triggered = 0;
@@ -413,10 +411,7 @@ let consider t entry =
         (Jobs.job_name config.Testdef.family)
         ~axes:[ Testdef.axes_of_config config ]
     with
-    | Ci.Server.Queued _ ->
-      t.triggered <- t.triggered + 1;
-      Env.tracef t.env ~category:"scheduler" "triggered %s"
-        config.Testdef.config_id
+    | Ci.Server.Queued _ -> t.triggered <- t.triggered + 1
     | Ci.Server.Not_found | Ci.Server.Disabled | Ci.Server.Denied ->
       entry.in_flight <- false;
       if consumes_nodes then Option.iter (unmark_site_busy t) entry.site;
@@ -463,16 +458,14 @@ let poll t =
   if t.indexed then poll_indexed t else poll_linear t
 
 let start t =
-  if not t.running then begin
-    t.running <- true;
+  if not t.started then begin
+    t.started <- true;
     Simkit.Engine.every (Env.engine t.env) ~label:"scheduler"
       ~period:t.pol.poll_period ~jitter:30.0
       (fun _ ->
-        if t.running then poll t;
-        t.running)
+        poll t;
+        true)
   end
-
-let stop t = t.running <- false
 
 (* Self-check for Simkit.Audit: recompute every derived structure the
    hot path maintains incrementally and compare against ground truth. *)

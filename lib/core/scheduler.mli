@@ -86,7 +86,6 @@ val enabled_families : t -> Testdef.family list
 val start : t -> unit
 (** Begin the poll loop on the environment's engine. *)
 
-val stop : t -> unit
 val stats : t -> stats
 val policy : t -> policy
 

@@ -112,9 +112,6 @@ type t = {
   mutable staleness_zero : int;  (* weight of every zero-staleness serve *)
   mutable staleness_samples : (float * int) list;  (* value > 0, weight *)
   mutable staleness_max : float;
-  (* wall-clock probe, injected by the benchmark *)
-  mutable clock : (unit -> float) option;
-  mutable busy_s : float;
 }
 
 (* ---- snapshot cache ----------------------------------------------------- *)
@@ -286,7 +283,6 @@ let flash_active cfg now =
   && Float.rem now cfg.flash_every >= cfg.flash_every -. cfg.flash_duration
 
 let tick t eng =
-  let started = match t.clock with Some clock -> Some (clock ()) | None -> None in
   let now = Simkit.Engine.now eng in
   refill t now;
   check_crash t now;
@@ -334,9 +330,6 @@ let tick t eng =
   end;
   if t.current_mode <> Fresh then
     t.degraded_s <- t.degraded_s +. t.cfg.tick_period;
-  (match (started, t.clock) with
-   | Some s, Some clock -> t.busy_s <- t.busy_s +. (clock () -. s)
-   | _ -> ());
   true
 
 (* ---- public API --------------------------------------------------------- *)
@@ -379,8 +372,6 @@ let attach ~alerts ~config env page =
       staleness_zero = 0;
       staleness_samples = [];
       staleness_max = 0.0;
-      clock = None;
-      busy_s = 0.0;
     }
   in
   t.fallback_body <- render_fallback t;
@@ -409,8 +400,6 @@ let read t ?if_none_match () =
 
 let mode t = t.current_mode
 let etag t = if t.cached_gen < 0 then None else Some t.cached_etag
-let busy_seconds t = t.busy_s
-let set_clock t clock = t.clock <- Some clock
 
 (* [sorted] ascending by value; samples of equal value may be split or
    merged freely without changing the result. *)

@@ -122,14 +122,6 @@ val etag : t -> string option
 (** ETag of the cached snapshot, [None] before the first render. *)
 
 val summary : t -> summary
-val busy_seconds : t -> float
-(** Wall-clock seconds spent inside the service loop, when a clock was
-    installed with {!set_clock}; [0.] otherwise. *)
-
-val set_clock : t -> (unit -> float) -> unit
-(** Install a wall-clock probe (the serve benchmark injects
-    [Unix.gettimeofday]); the library itself never reads real time. *)
-
 val render : summary -> string
 (** ASCII table for the campaign status page's serving section. *)
 

@@ -50,9 +50,6 @@ let family_to_string = function
   | Mpigraph -> "mpigraph"
   | Disk -> "disk"
 
-let family_of_string s =
-  List.find_opt (fun f -> String.equal (family_to_string f) s) all_families
-
 let need = function
   | Refapi | Oarproperties | Dellbios | Oarstate | Cmdline | Sidapi -> No_nodes
   | Stdenv | Environments | Console | Kwapi -> One_node

@@ -50,7 +50,6 @@ type config = {
 
 val all_families : family list
 val family_to_string : family -> string
-val family_of_string : string -> family option
 
 val need : family -> resource_need
 val is_hardware_centric : family -> bool

@@ -145,8 +145,6 @@ let check_flapping t (bug : Bugtracker.bug) ~now =
     && not (Hashtbl.mem t.flappers bug.Bugtracker.id)
   then begin
     Hashtbl.replace t.flappers bug.Bugtracker.id ();
-    Env.tracef t.env ~category:"triage" "bug #%d is flapping (%d reopens)"
-      bug.Bugtracker.id bug.Bugtracker.reopens;
     t.escalations <- t.escalations + 1;
     ignore
       (Monitoring.Alerts.fire t.alerts ~now
@@ -316,10 +314,7 @@ let file_bundle t bundle =
     Hashtbl.replace t.last_filed key (bundle.job, bundle.at);
     let evidence = { bundle.evidence with Bugtracker.signature = key } in
     match Bugtracker.file t.tracker ~now:bundle.at evidence with
-    | `New bug ->
-      t.filed <- t.filed + 1;
-      Env.tracef t.env ~category:"bug" "filed #%d [%s] %s" bug.Bugtracker.id
-        bug.Bugtracker.category bug.Bugtracker.summary
+    | `New _ -> t.filed <- t.filed + 1
     | `Duplicate _ -> t.duplicates <- t.duplicates + 1
   end
 
@@ -330,11 +325,7 @@ let deliver t bundle =
   match (t.cfg.drill, t.rng) with
   | Some drill, Some rng ->
     if drill.evidence_loss > 0.0 && Simkit.Prng.chance rng drill.evidence_loss
-    then begin
-      t.lost <- t.lost + 1;
-      Env.tracef t.env ~category:"triage" "evidence lost for %s"
-        (canonical_signature bundle.canonical)
-    end
+    then t.lost <- t.lost + 1
     else if drill.filing_delay > 0.0 then begin
       t.delayed <- t.delayed + 1;
       ignore

@@ -9,11 +9,6 @@ type mismatch = {
 
 type report = { host : string; checked_at : float; mismatches : mismatch list }
 
-let severity_to_string = function
-  | Perf_affecting -> "perf-affecting"
-  | Capacity -> "capacity"
-  | Descriptive -> "descriptive"
-
 let conforms report = report.mismatches = []
 
 let classify path =

@@ -26,8 +26,6 @@ type report = {
   mismatches : mismatch list;  (** empty = node conforms *)
 }
 
-val severity_to_string : severity -> string
-
 val conforms : report -> bool
 
 val run : Testbed.Instance.t -> Testbed.Node.t -> report

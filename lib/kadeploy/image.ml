@@ -56,7 +56,6 @@ let get reg name =
   | None -> List.find_opt (fun img -> String.equal img.name name) reg.user_images
 
 let all reg = standard @ reg.user_images
-let registered reg = reg.user_images
 
 let register reg ~name ~base ~size_mb actions =
   if size_mb <= 0 then Error "image size must be positive"

@@ -47,6 +47,3 @@ val register :
     duplicate names and non-positive sizes.  The new image gets a fresh
     index (so fault flags can target it) and a recipe checksum for
     traceability. *)
-
-val registered : registry -> t list
-(** User images only, registration order. *)

@@ -28,7 +28,3 @@ let checksum recipe =
   Printf.sprintf "%016Lx" !h
 
 let step_count recipe = List.length recipe.steps
-
-let pp ppf recipe =
-  Format.fprintf ppf "recipe %s (base %s, %d steps, sum %s)" recipe.recipe_name
-    recipe.base (step_count recipe) (checksum recipe)

@@ -21,4 +21,3 @@ val checksum : recipe -> string
 (** Deterministic hex digest of the full recipe content. *)
 
 val step_count : recipe -> int
-val pp : Format.formatter -> recipe -> unit

@@ -33,7 +33,3 @@ let is_finished t =
 
 let wait_time t =
   match t.started_at with Some s -> Some (s -. t.submitted_at) | None -> None
-
-let pp ppf t =
-  Format.fprintf ppf "job %d (%s, %s) %s [%d nodes]" t.id t.user
-    (jtype_to_string t.jtype) (state_to_string t.state) (List.length t.assigned)

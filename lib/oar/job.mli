@@ -32,5 +32,3 @@ val state_to_string : state -> string
 val is_finished : t -> bool
 val wait_time : t -> float option
 (** Start minus submission, once started. *)
-
-val pp : Format.formatter -> t -> unit

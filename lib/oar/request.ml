@@ -112,5 +112,3 @@ let to_string t =
       t.groups
   in
   Printf.sprintf "%s,walltime=%g" (String.concat "+" groups) (t.walltime /. 3600.0)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

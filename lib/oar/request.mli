@@ -24,5 +24,3 @@ val nodes : ?filter:string -> [ `N of int | `All ] -> walltime:float -> t
     (default: match everything), [walltime] in seconds. *)
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -27,7 +27,7 @@ type t = {
   race_seen : (string, unit) Hashtbl.t;
       (* "<time>:<probe>" already flagged, so a burst of same-time events
          yields one violation per (instant, probe) *)
-  mutable running : bool;
+  mutable started : bool;
 }
 
 let create ?(period = 6.0 *. 3600.0) engine =
@@ -45,7 +45,7 @@ let create ?(period = 6.0 *. 3600.0) engine =
     races = 0;
     last_change = None;
     race_seen = Hashtbl.create 64;
-    running = false;
+    started = false;
   }
 
 let record t ~check ~detail =
@@ -125,21 +125,15 @@ let observe t ~time ~label =
   end
 
 let start t =
-  if not t.running then begin
-    t.running <- true;
+  if not t.started then begin
+    t.started <- true;
     if t.probes <> [] then
       Engine.set_observer t.engine (Some (fun ~time ~label -> observe t ~time ~label));
     (* No jitter: the audit loop must not consume engine randomness, so
        an audited campaign replays the unaudited one's decisions. *)
     Engine.every t.engine ~label:"audit" ~period:t.period (fun _ ->
-        if t.running then run_checks t;
-        t.running)
-  end
-
-let stop t =
-  if t.running then begin
-    t.running <- false;
-    if t.probes <> [] then Engine.set_observer t.engine None
+        run_checks t;
+        true)
   end
 
 let violations t = List.rev t.violations

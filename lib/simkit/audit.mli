@@ -33,10 +33,6 @@ val start : t -> unit
 (** Install the engine observer (only if probes exist) and schedule the
     cadence loop.  Idempotent. *)
 
-val stop : t -> unit
-(** Stop auditing: the cadence loop unwinds at its next tick and the
-    observer is removed immediately. *)
-
 val violations : t -> violation list
 (** All recorded violations, oldest first. *)
 

@@ -1,4 +1,3 @@
-let second = 1.0
 let minute = 60.0
 let hour = 3600.0
 let day = 86400.0

@@ -4,7 +4,6 @@
     The testing framework's peak-hours and week-end policies, and the
     monthly reliability series, are all expressed on this calendar. *)
 
-val second : float
 val minute : float
 val hour : float
 val day : float

@@ -17,7 +17,6 @@ let create () =
   { keys = [||]; seqs = [||]; values = [||]; size = 0; next_seq = 0 }
 
 let length t = t.size
-let is_empty t = t.size = 0
 
 let grow t =
   let cap = Array.length t.keys in
@@ -111,12 +110,6 @@ let pop t =
     | Some v -> Some (top_key, v)
     | None -> assert false
   end
-
-let clear t =
-  t.keys <- [||];
-  t.seqs <- [||];
-  t.values <- [||];
-  t.size <- 0
 
 let to_list t =
   let idx = Array.init t.size (fun i -> i) in

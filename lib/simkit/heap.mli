@@ -8,7 +8,6 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val push : 'a t -> key:float -> 'a -> unit
 (** Insert an element with priority [key] (lower pops first). *)
@@ -18,8 +17,6 @@ val peek : 'a t -> (float * 'a) option
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the smallest (key, element). *)
-
-val clear : 'a t -> unit
 
 val to_list : 'a t -> (float * 'a) list
 (** Snapshot in ascending key order (cost O(n log n); for tests and

@@ -47,7 +47,6 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let chance t p = if p <= 0.0 then false else if p >= 1.0 then true else float t < p
 

@@ -37,9 +37,6 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] (inclusive). *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p] (clamped to [\[0,1\]]). *)
 

@@ -220,22 +220,6 @@ let prop_request_roundtrip =
       List.length r'.Oar.Request.groups = 1
       && Float.abs (r'.Oar.Request.walltime -. r.Oar.Request.walltime) < 1.0)
 
-(* ---- Tracelog: ring behaves like a bounded queue -------------------------------------- *)
-
-let prop_tracelog_ring_model =
-  QCheck.Test.make ~name:"tracelog: retains the most recent entries" ~count:200
-    QCheck.(pair (int_range 1 20) (int_range 0 60))
-    (fun (capacity, n) ->
-      let t = Simkit.Tracelog.create ~capacity () in
-      for i = 1 to n do
-        Simkit.Tracelog.record t ~time:(float_of_int i) ~category:"c" (string_of_int i)
-      done;
-      let expected =
-        List.init (Stdlib.min capacity n) (fun i ->
-            string_of_int (n - Stdlib.min capacity n + i + 1))
-      in
-      List.map (fun e -> e.Simkit.Tracelog.message) (Simkit.Tracelog.entries t) = expected)
-
 let () =
   Alcotest.run "properties"
     [
@@ -248,5 +232,4 @@ let () =
       ("expr", [ qc prop_expr_not_involution; qc prop_expr_demorgan ]);
       ("gantt", [ qc prop_gantt_window_free ]);
       ("request", [ qc prop_request_roundtrip ]);
-      ("tracelog", [ qc prop_tracelog_ring_model ]);
     ]

@@ -151,14 +151,18 @@ let run_campaign ~indexed ~seed ~families ~days ~naive =
   in
   let s = Framework.Scheduler.create ~policy ~indexed env in
   List.iter (Framework.Scheduler.enable_family s) families;
+  (* Every completed build, in completion order: what was triggered,
+     when, for which configuration, as which retry, and how it ended.
+     The build number pins the trigger order within one poll, which
+     completion order alone does not show. *)
+  let builds = ref [] in
+  Ci.Server.on_build_complete env.Framework.Env.ci (fun b ->
+      builds :=
+        Ci.Build.(b.queued_at, b.job_name, b.number, b.axes, b.retry_of, b.result)
+        :: !builds);
   Framework.Scheduler.start s;
   Framework.Env.run_until env (float_of_int days *. Simkit.Calendar.day);
-  let trace =
-    List.map
-      (fun e -> (e.Simkit.Tracelog.time, e.Simkit.Tracelog.message))
-      (Simkit.Tracelog.by_category env.Framework.Env.trace "scheduler")
-  in
-  (trace, Framework.Scheduler.stats s)
+  (List.rev !builds, Framework.Scheduler.stats s)
 
 let equivalence_prop =
   QCheck.Test.make ~count:6
