@@ -6,14 +6,18 @@
 
     Cost: the lists are sorted by start and never overlap, so they are
     sorted by stop too.  {!reserve} inserts in order, copying only the
-    intervals that start earlier; {!is_free} and {!next_free_window}
-    scan without allocating; {!prune} drops each host's expired prefix
-    in place and allocates nothing for a host with nothing expired.
+    intervals that start earlier; {!is_free} and the window scans
+    allocate nothing; {!prune} walks the slots in registration order and
+    writes only a slot whose first interval has expired, dropping its
+    expired prefix in place.
 
     A host's list lives in its {!type-slot}, a cell registered on first
     use and never replaced, so a slot taken before the host's first
     reservation sees every later change; the [slot_] functions hash no
-    host name. *)
+    host name.  Each job keeps the slots it was reserved on, so
+    {!release_job} hashes no host name either and allocates only the
+    intervals it must copy: those before the job's last one on a slot,
+    none when the job's interval comes first. *)
 
 type t
 type slot
@@ -43,7 +47,10 @@ val next_free_window : t -> host:string -> after:float -> duration:float -> floa
 (** Earliest [t >= after] such that the host is continuously free on
     [\[t, t + duration)]. *)
 
-val slot_next_free_window : slot -> after:float -> duration:float -> float
+val slot_next_free_window_into :
+  Float.Array.t -> int -> slot -> after:float -> duration:float -> unit
+(** [slot_next_free_window_into a k slot ~after ~duration] stores the
+    slot's {!next_free_window} at [a.(k)], boxing nothing. *)
 
 val reservations : t -> host:string -> (float * float * int) list
 (** Current reservations, sorted by start. *)

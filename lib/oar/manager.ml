@@ -32,10 +32,15 @@ type t = {
   mutable last_prune : float;  (* gantt pruning runs at most hourly *)
   filter_cache : handle array Filter_cache.t;
       (* parsed filter -> matching hosts (sorted); properties change
-         rarely (only refreshes that change a row reset it), so filter
-         evaluation over 894 hosts is memoised, keyed structurally so
-         callers holding a pre-parsed filter never re-render it to a
-         string *)
+         rarely, so filter evaluation over 894 hosts is memoised, keyed
+         structurally so callers holding a pre-parsed filter never
+         re-render it to a string; a refresh re-tests only the changed
+         rows *)
+  placed : (int, handle list) Hashtbl.t;
+      (* each live job's current placement: a best-effort job re-placed
+         at its old start is started by the old wake-up, on new hosts *)
+  mutable windows : Float.Array.t;  (* [place_group]'s scratch, grown on demand *)
+  seen : (string, unit) Hashtbl.t;  (* [assigned_busy_consistent]'s scratch *)
 }
 
 let engine t = t.instance.Testbed.Instance.engine
@@ -43,11 +48,28 @@ let now t = Simkit.Engine.now (engine t)
 let instance t = t.instance
 let properties t = t.props
 
+let resolve t host =
+  { host; node = Testbed.Instance.find_node t.instance host; slot = Gantt.slot t.gantt host }
+
+let matches t filter host = Expr.eval filter ~props:(Property.props_fun t.props ~host)
+
 let refresh_properties t =
-  if
+  match
     Property.refresh_from_refapi t.props
       (Testbed.Faults.context t.instance.Testbed.Instance.faults)
-  then Filter_cache.reset t.filter_cache
+  with
+  | `Unchanged -> ()
+  | `Hosts_added -> Filter_cache.reset t.filter_cache
+  | `Rows changed ->
+    (* Re-test each entry on the changed rows only, and merge the hosts
+       that match into the others in [Property.hosts] (sorted) order. *)
+    let by_host a b = String.compare a.host b.host in
+    Filter_cache.filter_map_inplace
+      (fun filter hosts ->
+        let kept = List.filter (fun h -> not (List.mem h.host changed)) (Array.to_list hosts) in
+        let matched = List.map (resolve t) (List.filter (matches t filter) changed) in
+        Some (Array.of_list (List.merge by_host kept (List.sort by_host matched))))
+      t.filter_cache
 
 let create instance =
   let t =
@@ -63,6 +85,9 @@ let create instance =
       running = Hashtbl.create 256;
       last_prune = Float.neg_infinity;
       filter_cache = Filter_cache.create 64;
+      placed = Hashtbl.create 256;
+      windows = Float.Array.create 0;
+      seen = Hashtbl.create 64;
     }
   in
   refresh_properties t;
@@ -85,6 +110,7 @@ let finish t job state =
   job.Job.ended_at <- Some (now t);
   Hashtbl.remove t.besteffort_scheduled job.Job.id;
   Hashtbl.remove t.running job.Job.id;
+  Hashtbl.remove t.placed job.Job.id;
   Gantt.release_job t.gantt ~job:job.Job.id;
   List.iter (fun f -> f job) t.listeners
 
@@ -92,17 +118,8 @@ let matching_hosts_arr t filter =
   match Filter_cache.find_opt t.filter_cache filter with
   | Some hosts -> hosts
   | None ->
-    let hosts =
-      Property.hosts t.props
-      |> List.filter_map (fun host ->
-             if Expr.eval filter ~props:(Property.props_fun t.props ~host) then
-               Some
-                 { host;
-                   node = Testbed.Instance.find_node t.instance host;
-                   slot = Gantt.slot t.gantt host }
-             else None)
-      |> Array.of_list
-    in
+    let matched = List.filter (matches t filter) (Property.hosts t.props) in
+    let hosts = Array.of_list (List.map (resolve t) matched) in
     Filter_cache.replace t.filter_cache filter hosts;
     hosts
 
@@ -158,18 +175,33 @@ let free_at_least t filter n =
    pick are never needed. *)
 type group_placement = At_after of handle list | Later of float | Never
 
-(* Whether [needed] of [pool] are free over [\[start, stop)]; stops at
-   the [needed]-th. *)
-let enough_free ~start ~stop ~needed pool =
-  let len = Array.length pool in
+(* Whether [needed] usable hosts are free over [\[start, stop)]; stops at
+   the [needed]-th.  The window comes in boxed: a [stop] computed here
+   would be boxed again for every host. *)
+let enough_free ~start ~stop ~needed hosts =
+  let len = Array.length hosts in
   let free = ref 0 and i = ref 0 in
   while !free < needed && !i < len do
-    if Gantt.slot_is_free pool.(!i).slot ~start ~stop then incr free;
+    let h = hosts.(!i) in
+    if is_usable h && Gantt.slot_is_free h.slot ~start ~stop then incr free;
     incr i
   done;
   !free >= needed
 
-let place_group ~after ~stop ~duration ~hosts ~count =
+(* Restore the min-heap order of [w.(0 .. n-1)] below [i]. *)
+let rec sift_down w n i =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && Float.Array.get w (l + 1) < Float.Array.get w l then l + 1 else l in
+    let x = Float.Array.get w i in
+    if Float.Array.get w c < x then begin
+      Float.Array.set w i (Float.Array.get w c);
+      Float.Array.set w c x;
+      sift_down w n c
+    end
+  end
+
+let place_group t ~after ~stop ~duration ~hosts ~count =
   let len = Array.length hosts in
   (* One scan: count the usable hosts, and those free at [after] until
      [needed] are found. *)
@@ -201,47 +233,53 @@ let place_group ~after ~stop ~duration ~hosts ~count =
     At_after !chosen
   end
   else begin
-    let pool = Array.make !usable hosts.(0) in
+    (* Candidate starts: the usable hosts' next free windows, popped
+       ascending without repeats from a min-heap in [t.windows].  They
+       are all at or after [after], which is infeasible and skipped. *)
+    let n = !usable in
+    if Float.Array.length t.windows < n then
+      t.windows <- Float.Array.create (max n (2 * Float.Array.length t.windows));
+    let w = t.windows in
     let k = ref 0 in
-    Array.iter
-      (fun h ->
-        if is_usable h then begin
-          pool.(!k) <- h;
-          incr k
-        end)
-      hosts;
-    let feasible start = enough_free ~start ~stop:(start +. duration) ~needed pool in
-    (* Candidate starts: each usable host's next free window, ascending
-       and without repeats.  Every window is at or after [after], where
-       fewer than [needed] hosts are free, so [after] itself is skipped. *)
-    let windows =
-      Array.map (fun h -> Gantt.slot_next_free_window h.slot ~after ~duration) pool
-    in
-    (* Sorting indices keeps the floats unboxed; only the start is kept,
-       so ties may come out in any order. *)
-    let order = Array.init !usable Fun.id in
-    Array.sort (fun a b -> Float.compare windows.(a) windows.(b)) order;
-    let rec earliest k previous =
-      if k >= !usable then None
-      else
-        let start = windows.(order.(k)) in
-        if Float.equal start previous || not (feasible start) then earliest (k + 1) start
-        else Some start
-    in
-    match earliest 0 after with
-    | Some start -> Later start
-    | None ->
+    for i = 0 to len - 1 do
+      let h = hosts.(i) in
+      if is_usable h then begin
+        Gantt.slot_next_free_window_into w !k h.slot ~after ~duration;
+        incr k
+      end
+    done;
+    for i = (n / 2) - 1 downto 0 do
+      sift_down w n i
+    done;
+    let size = ref n and previous = ref after and found = ref false in
+    while (not !found) && !size > 0 do
+      let start = Float.Array.get w 0 in
+      decr size;
+      Float.Array.set w 0 (Float.Array.get w !size);
+      sift_down w !size 0;
+      if start <> !previous then begin
+        previous := start;
+        found := enough_free ~start ~stop:(start +. duration) ~needed hosts
+      end
+    done;
+    if !found then Later !previous
+    else begin
       (* All candidate instants collide with reservations that start
          later; fall back to the time when everything is drained.  A
          host's window of infinite length opens at its last stop (or at
          [after] when that is later). *)
-      let horizon =
-        Array.fold_left
-          (fun acc h ->
-            Float.max acc (Gantt.slot_next_free_window h.slot ~after ~duration:Float.infinity))
-          after pool
-      in
-      if feasible horizon then Later horizon else Never
+      let horizon = ref after in
+      for i = 0 to len - 1 do
+        let h = hosts.(i) in
+        if is_usable h then begin
+          Gantt.slot_next_free_window_into w 0 h.slot ~after ~duration:Float.infinity;
+          if Float.Array.get w 0 > !horizon then horizon := Float.Array.get w 0
+        end
+      done;
+      let horizon = !horizon in
+      if enough_free ~start:horizon ~stop:(horizon +. duration) ~needed hosts then Later horizon
+      else Never
+    end
   end
 
 (* Find a common start for all groups of a request (fixpoint search). *)
@@ -262,7 +300,7 @@ let place_request t ~after request =
          all agree on [start], check disjointness and commit. *)
       let rec propose chosen latest = function
         | (count, hosts) :: rest -> (
-          match place_group ~after:start ~stop:(start +. duration) ~duration ~hosts ~count with
+          match place_group t ~after:start ~stop:(start +. duration) ~duration ~hosts ~count with
           | Never -> None
           | Later s -> propose chosen (Float.max latest s) rest
           | At_after hosts -> propose (hosts :: chosen) latest rest)
@@ -291,14 +329,12 @@ let estimate_start t request =
 
 (* ---- lifecycle --------------------------------------------------------- *)
 
+let alive h =
+  match h.node with Some node -> Testbed.Node.is_available node | None -> false
+
 let rec start_job t job =
-  let alive host =
-    match Testbed.Instance.find_node t.instance host with
-    | Some node -> Testbed.Node.is_available node
-    | None -> false
-  in
   if job.Job.state <> Job.Scheduled then ()
-  else if not (List.for_all alive job.Job.assigned) then begin
+  else if not (List.for_all alive (Hashtbl.find t.placed job.Job.id)) then begin
     (* A reserved node died before launch: the job errors out; its
        remaining reservation is released.  This is one of the paper's
        "unreliable services" experiences for users. *)
@@ -325,6 +361,7 @@ and try_place_job t job =
   | Some (start, handles) ->
     let stop = start +. job.Job.request.Request.walltime in
     List.iter (fun h -> Gantt.reserve_slot t.gantt h.slot ~start ~stop ~job:job.Job.id) handles;
+    Hashtbl.replace t.placed job.Job.id handles;
     job.Job.assigned <- List.map (fun h -> h.host) handles;
     job.Job.scheduled_start <- start;
     job.Job.state <- Job.Scheduled;
@@ -480,6 +517,7 @@ let submit_at t ?(user = "anon") ?(jtype = Job.Default) ?duration ~start request
         Hashtbl.replace t.besteffort_scheduled job.Job.id job;
       let stop = start +. request.Request.walltime in
       List.iter (fun h -> Gantt.reserve_slot t.gantt h.slot ~start ~stop ~job:job.Job.id) handles;
+      Hashtbl.replace t.placed job.Job.id handles;
       ignore
         (Simkit.Engine.schedule_at (engine t) ~label:"oar" ~time:start (fun _ -> start_job t job));
       Ok job
@@ -505,7 +543,8 @@ let utilisation t ~lo ~hi =
 
 let assigned_busy_consistent t =
   let running = running_jobs t in
-  let seen = Hashtbl.create 64 in
+  let seen = t.seen in
+  Hashtbl.clear seen;
   List.for_all
     (fun job ->
       List.for_all

@@ -29,8 +29,10 @@ val refresh_properties : t -> unit
 (** Re-derive the property database from the Reference API
     ({!Property.refresh_from_refapi}).  The memoised filter results
     behind {!matching_hosts}, {!free_matching_now} and {!free_at_least}
-    are dropped only when the refresh changed a row or the host set; a
-    refresh that changes nothing keeps them. *)
+    are dropped only when a host was added.  When rows changed, each
+    memoised filter is re-tested on those hosts only, and their handles
+    are inserted or removed in {!Property.hosts} order; a refresh that
+    changes nothing leaves the memo alone. *)
 
 val submit :
   t ->
@@ -46,11 +48,16 @@ val submit :
 
     Cost: placement scans each group's memoised host array.  When
     enough usable hosts are free now, it allocates only the chosen
-    list; otherwise it sorts the usable hosts by next free window to find
-    the earliest later start, and searches again from there.  A
-    single-group request skips the disjointness check.  Memoised hosts
-    are handles to their node record and {!Gantt.type-slot}, resolved
-    once per memo entry, so no scan hashes a host name. *)
+    list.  Otherwise it stores the usable hosts' next free windows in a
+    float array kept by [t] and pops them ascending from a binary heap,
+    O(P + k log P) for P usable hosts and k candidates tried, to find
+    the earliest later start, and searches again from there.  That
+    search allocates nothing per host: only each candidate start it
+    tries is boxed, once.  A single-group request skips the disjointness
+    check.  Memoised hosts are handles to their node record and
+    {!Gantt.type-slot}, resolved once per memo entry, so no scan hashes
+    a host name; a job starts, or errors out on a dead node, through
+    the handles of its placement. *)
 
 val submit_at :
   t ->
@@ -100,4 +107,5 @@ val utilisation : t -> lo:float -> hi:float -> float
 val assigned_busy_consistent : t -> bool
 (** Invariant used by the [oarstate] test: every node assigned to a
     Running job is Alive or Deploying/Rebooting under a deploy job, and
-    no host is assigned to two running jobs. *)
+    no host is assigned to two running jobs.  It clears and reuses one
+    table of the hosts seen. *)

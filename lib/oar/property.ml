@@ -71,7 +71,7 @@ let refresh_from_refapi t ctx =
         else acc)
       ctx.Testbed.Faults.flags []
   in
-  let changed = ref false in
+  let changed = ref [] in
   let added = ref false in
   Testbed.Refapi.iter ctx.Testbed.Faults.refapi (fun host doc ->
       let desync = List.exists (String.equal host) desynced in
@@ -79,7 +79,7 @@ let refresh_from_refapi t ctx =
       | row ->
         if row.doc != doc || row.desync <> desync then begin
           let props = row_props doc ~desync in
-          if props <> row.props then changed := true;
+          if props <> row.props then changed := host :: !changed;
           row.doc <- doc;
           row.desync <- desync;
           row.props <- props
@@ -92,9 +92,9 @@ let refresh_from_refapi t ctx =
   if !added then begin
     t.sorted <-
       Hashtbl.fold (fun host _ acc -> host :: acc) t.rows [] |> List.sort String.compare;
-    changed := true
-  end;
-  !changed
+    `Hosts_added
+  end
+  else match !changed with [] -> `Unchanged | hosts -> `Rows hosts
 
 let get t ~host key =
   match Hashtbl.find_opt t.rows host with

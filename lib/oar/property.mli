@@ -11,15 +11,21 @@ type t
 
 val create : unit -> t
 
-val refresh_from_refapi : t -> Testbed.Faults.ctx -> bool
+val refresh_from_refapi :
+  t -> Testbed.Faults.ctx -> [ `Unchanged | `Rows of string list | `Hosts_added ]
 (** Bring the property rows up to date with the current Reference API
     documents and the active [oar_desync] corruption flags.  A host's
     row is recomputed only when its inputs changed: its document was
     replaced (documents are immutable, so physical inequality shows a
     change) or its [oar_desync:<host>] flag was set or cleared.  A host
-    new to the Reference API gets a row.  Returns [true] when a row was
-    added or its value changed — a replaced document that induces the
-    same properties does not count. *)
+    new to the Reference API gets a row.  Returns [`Hosts_added] when a
+    row was added, else [`Rows hosts] with the hosts whose row value
+    changed, else [`Unchanged]; a replaced document that induces the
+    same properties changes no row.
+
+    Cost: one physical comparison per host, plus one row computation
+    per host whose inputs moved; the sorted host list is rebuilt only on
+    [`Hosts_added]. *)
 
 val get : t -> host:string -> string -> string option
 (** Property lookup, e.g. [get t ~host "cluster"]. *)

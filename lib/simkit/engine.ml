@@ -86,12 +86,22 @@ let ensure_consumed_capacity t id =
 
 (* Label interning. *)
 
+(* Labels are string literals, so a physical-equality scan of the few
+   interned names usually finds one without hashing it; -1 when the
+   name is new. *)
+let rec interned t name i =
+  if i >= t.label_count then
+    match Hashtbl.find_opt t.label_index name with Some i -> i | None -> -1
+  else
+    match t.label_names.(i) with
+    | Some n when n == name -> i
+    | _ -> interned t name (i + 1)
+
 let intern t = function
   | None -> -1
   | Some name -> (
-    match Hashtbl.find_opt t.label_index name with
-    | Some i -> i
-    | None ->
+    match interned t name 0 with
+    | -1 ->
       let i = t.label_count in
       let cap = Array.length t.label_names in
       if i = cap then begin
@@ -103,7 +113,8 @@ let intern t = function
       t.label_names.(i) <- Some name;
       t.label_count <- i + 1;
       Hashtbl.add t.label_index name i;
-      i)
+      i
+    | i -> i)
 
 let label_option t idx = if idx < 0 then None else t.label_names.(idx)
 

@@ -189,7 +189,12 @@ let of_string_exn_internal s =
       advance ()
     done;
     let text = String.sub s start (!pos - start) in
-    match int_of_string_opt text with
+    (* No lexeme holding '.', 'e' or 'E' is an int ([int_of_string]
+       would see no hex prefix here), so a float skips the raising call. *)
+    match
+      if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) text then None
+      else int_of_string_opt text
+    with
     | Some i -> Int i
     | None -> (
       match float_of_string_opt text with

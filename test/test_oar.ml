@@ -329,12 +329,18 @@ let gen_gantt_op ~hosts ~jobs =
         (1, map (fun j -> Release_job j) (int_range 1 jobs));
         (2, map (fun b -> Prune b) (int_bound 120)) ])
 
+(* The first operations use 4 hosts; after a prune, 12, so slots are
+   also registered after a prune and past the Gantt's first slot array. *)
 let prop_gantt_matches_list_model =
-  let hosts = 3 and jobs = 5 in
-  let gen_op = gen_gantt_op ~hosts ~jobs in
+  let hosts = 12 and jobs = 5 in
   let print ops = String.concat "; " (List.map show_gantt_op ops) in
   QCheck.Test.make ~name:"gantt matches the sort-and-filter list model" ~count:300
-    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 60) gen_op))
+    (QCheck.make ~print
+       QCheck.Gen.(
+         list_size (int_range 0 30) (gen_gantt_op ~hosts:4 ~jobs) >>= fun before ->
+         int_bound 120 >>= fun prune ->
+         list_size (int_range 1 60) (gen_gantt_op ~hosts ~jobs) >|= fun after ->
+         before @ (Prune prune :: after)))
     (fun ops ->
       let g = Oar.Gantt.create () in
       let model = Array.make hosts [] in
@@ -384,6 +390,11 @@ let prop_gantt_matches_list_model =
 (* Slots taken before any reservation, with reservations made through
    them or through host names, must agree with the host-keyed queries
    after every operation. *)
+let slot_window slot ~after ~duration =
+  let w = Float.Array.create 1 in
+  Oar.Gantt.slot_next_free_window_into w 0 slot ~after ~duration;
+  Float.Array.get w 0
+
 let prop_gantt_slots_match_hosts =
   let hosts = 3 and jobs = 5 in
   let print (through_slots, ops) =
@@ -411,7 +422,7 @@ let prop_gantt_slots_match_hosts =
                        let stop = start +. length in
                        Oar.Gantt.slot_is_free slot ~start ~stop
                        = Oar.Gantt.is_free g ~host ~start ~stop
-                       && Oar.Gantt.slot_next_free_window slot ~after:start ~duration:length
+                       && slot_window slot ~after:start ~duration:length
                           = Oar.Gantt.next_free_window g ~host ~after:start ~duration:length)
                      [ 1.0; 7.0; 30.0; Float.infinity ])
                  (List.init 27 (fun i -> 5 * i)))

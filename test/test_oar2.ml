@@ -74,6 +74,33 @@ let test_besteffort_scheduled_last () =
   checkb "default precedes besteffort" true
     (default_job.Oar.Job.scheduled_start < besteffort.Oar.Job.scheduled_start)
 
+(* A best-effort job re-placed at its old start onto other hosts keeps
+   both wake-ups; the first to fire starts it, and must check the hosts
+   of its current placement, not those it was armed with. *)
+let test_besteffort_replaced_at_same_start () =
+  let instance, oar = mk () in
+  let a = "grimoire-1.nancy" and b = "grimoire-2.nancy" in
+  let submit ?jtype filter count =
+    match
+      Oar.Manager.submit oar ?jtype (Oar.Request.nodes ~filter count ~walltime:600.0)
+    with
+    | Ok j -> j
+    | Error _ -> Alcotest.fail ("submit " ^ filter)
+  in
+  let both = Printf.sprintf "host='%s' or host='%s'" a b in
+  ignore
+    (Oar.Manager.submit oar ~duration:3600.0
+       (Oar.Request.nodes ~filter:both (`N 2) ~walltime:3600.0));
+  let besteffort = submit ~jtype:Oar.Job.Besteffort both (`N 1) in
+  checkb "best-effort first placed on a at 3600" true
+    (besteffort.Oar.Job.assigned = [ a ] && besteffort.Oar.Job.scheduled_start = 3600.0);
+  ignore (submit (Printf.sprintf "host='%s'" a) (`N 1));
+  checkb "then re-placed on b at the same start" true
+    (besteffort.Oar.Job.assigned = [ b ] && besteffort.Oar.Job.scheduled_start = 3600.0);
+  (Testbed.Instance.node instance b).Testbed.Node.state <- Testbed.Node.Down;
+  Simkit.Engine.run_until instance.Testbed.Instance.engine 3700.0;
+  checkb "errors out on its dead host b" true (besteffort.Oar.Job.state = Oar.Job.Error)
+
 (* ---- service outage ------------------------------------------------------------ *)
 
 let test_submit_fails_when_all_oar_down () =
@@ -287,6 +314,19 @@ let prop_incremental_refresh =
                script = full)
              [ "orion"; "graphite"; "chifflet" ]
       in
+      (* The memo against its own rows: after a refresh that re-tested
+         only the changed rows, each filter's hosts are a fresh scan of
+         [Property.hosts], in that order. *)
+      let memo_fresh () =
+        let props = Oar.Manager.properties oar in
+        List.for_all
+          (fun filter ->
+            Oar.Manager.matching_hosts oar filter
+            = List.filter
+                (fun host -> Oar.Expr.eval filter ~props:(Oar.Property.props_fun props ~host))
+                (Oar.Property.hosts props))
+          refresh_filters
+      in
       (* Fill the filter cache before the first operation, so a refresh
          that wrongly keeps it shows. *)
       consistent ()
@@ -311,6 +351,7 @@ let prop_incremental_refresh =
               | Refresh ->
                 Oar.Manager.refresh_properties oar;
                 consistent ())
+             && memo_fresh ()
              && step_unchanged ())
            ops)
 
@@ -451,17 +492,57 @@ let prop_place_at_now =
           | _ -> false)
         probes)
 
+(* [Manager.place_group] before its slow path took windows from a heap:
+   the usable hosts copied into a pool, their next free windows sorted
+   through an index array, and the first feasible one taken.  A later
+   start comes back with no hosts, as [Later]. *)
+let sorted_place_group gantt ~after ~duration ~usable ~count =
+  let needed = match count with `N n -> n | `All -> List.length usable in
+  let free_over start h = Oar.Gantt.is_free gantt ~host:h ~start ~stop:(start +. duration) in
+  let free = List.filter (free_over after) usable in
+  if needed = 0 || List.length usable < needed then None
+  else if List.length free >= needed then Some (after, List.filteri (fun i _ -> i < needed) free)
+  else begin
+    let pool = Array.of_list usable in
+    let feasible start =
+      Array.fold_left (fun n h -> if free_over start h then n + 1 else n) 0 pool >= needed
+    in
+    let windows =
+      Array.map (fun h -> Oar.Gantt.next_free_window gantt ~host:h ~after ~duration) pool
+    in
+    let order = Array.init (Array.length pool) Fun.id in
+    Array.sort (fun a b -> Float.compare windows.(a) windows.(b)) order;
+    let rec earliest k previous =
+      if k >= Array.length pool then None
+      else
+        let start = windows.(order.(k)) in
+        if Float.equal start previous || not (feasible start) then earliest (k + 1) start
+        else Some start
+    in
+    match earliest 0 after with
+    | Some start -> Some (start, [])
+    | None ->
+      let horizon =
+        Array.fold_left
+          (fun acc h ->
+            Float.max acc
+              (Oar.Gantt.next_free_window gantt ~host:h ~after ~duration:Float.infinity))
+          after pool
+      in
+      if feasible horizon then Some (horizon, []) else None
+  end
+
 (* [Manager.place_request]'s fixpoint over several groups, with its
    [sort_uniq] disjointness check: [groups] pairs each group's usable
    matching hosts (in matching order) with its count. *)
-let oracle_place_request gantt ~after ~duration groups =
+let oracle_place_request ?(place_group = oracle_place_group) gantt ~after ~duration groups =
   let rec search start attempts =
     if attempts > 30 then None
     else
       let placements =
         List.map
           (fun (usable, count) ->
-            oracle_place_group gantt ~after:start ~duration ~usable ~count)
+            place_group gantt ~after:start ~duration ~usable ~count)
           groups
       in
       if List.exists Option.is_none placements then None
@@ -567,10 +648,15 @@ let prop_place_saturated =
                 List.map (fun (filter, count) -> { Oar.Request.filter; count }) groups;
               walltime }
           in
+          let usable = List.map (fun (filter, count) -> (usable filter, count)) groups in
+          (* The placement's later starts are the sort-based slow path's,
+             which the window search confirms. *)
           let expected =
-            oracle_place_request gantt ~after:0.0 ~duration:walltime
-              (List.map (fun (filter, count) -> (usable filter, count)) groups)
+            oracle_place_request ~place_group:sorted_place_group gantt ~after:0.0
+              ~duration:walltime usable
           in
+          oracle_place_request gantt ~after:0.0 ~duration:walltime usable = expected
+          &&
           match (Oar.Manager.submit oar ~immediate request, expected) with
           | Error Oar.Manager.No_matching_resource, None -> true
           | Error (Oar.Manager.Not_immediately_schedulable at), Some (start, _) ->
@@ -745,6 +831,52 @@ let test_allocation_contract () =
   (* Asking for one more host than the filter matches scans every host. *)
   let scan filter n () = Oar.Manager.free_at_least oar filter n in
   checkw "free_at_least: 1 host = 100 hosts" (words_of (scan f1 2)) (words_of (scan f100 101));
+  (* [place_group]'s slow path: with all 100 hosts reserved now and all
+     but the last one again from 3600, a one-host request searches their
+     next free windows, and checks every usable host at 3600.  Taking 90
+     of the others down leaves 10 usable. *)
+  let reserve ~start filter n =
+    match
+      Oar.Manager.submit_at oar ~start
+        { Oar.Request.groups = [ { Oar.Request.filter; count = `N n } ]; walltime = 3600.0 }
+    with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "reserving the hosts"
+  in
+  reserve ~start:0.0 f100 100;
+  reserve ~start:3600.0 (filter_of (Array.sub hundred 0 99)) 99;
+  let one_host =
+    { Oar.Request.groups = [ { Oar.Request.filter = f100; count = `N 1 } ]; walltime = 600.0 }
+  in
+  let slow_path () = Oar.Manager.estimate_start oar one_host = Some 3600.0 in
+  checkb "the slow path finds the reservation's end" true (slow_path ());
+  let hundred_usable = words_of slow_path in
+  let set_state state =
+    Array.iteri
+      (fun i host ->
+        if i >= 9 && i < 99 then (Testbed.Instance.node instance host).Testbed.Node.state <- state)
+      hundred
+  in
+  set_state Testbed.Node.Down;
+  checkb "10 usable hosts find it too" true (slow_path ());
+  let ten_usable = words_of slow_path in
+  set_state Testbed.Node.Alive;
+  checkw "place_group slow path: 10 usable hosts = 100" ten_usable hundred_usable;
+  (* One call each: the job's interval comes first on every host, so
+     nothing is copied. *)
+  let release_job hosts =
+    let g = Oar.Gantt.create () in
+    Array.iter
+      (fun host ->
+        Oar.Gantt.reserve g ~host ~start:10.0 ~stop:20.0 ~job:0;
+        Oar.Gantt.reserve g ~host ~start:30.0 ~stop:40.0 ~job:1)
+      hosts;
+    let words = minor_words (fun () -> Oar.Gantt.release_job g ~job:0) in
+    checkb "only job 1 is left" true
+      (Array.for_all (fun host -> Oar.Gantt.reservations g ~host = [ (30.0, 40.0, 1) ]) hosts);
+    words
+  in
+  checkw "Gantt.release_job: 1 host = 100 hosts" (release_job one) (release_job hundred);
   let lookup family =
     let config = List.hd (Framework.Testdef.expand family) in
     let axes = Framework.Testdef.axes_of_config config in
@@ -790,7 +922,40 @@ let test_allocation_contract () =
   in
   let draw = words_of (fun () -> Simkit.Prng.float rng >= 0.0) in
   checkw "Dist.zipf_sample: n = 100 = one Prng.float" draw (words_of (zipf 100));
-  checkw "Dist.zipf_sample: n = 10,000 = one Prng.float" draw (words_of (zipf 10_000))
+  checkw "Dist.zipf_sample: n = 10,000 = one Prng.float" draw (words_of (zipf 10_000));
+  let console = Testbed.Console.create () in
+  for i = 1 to 250 do
+    Testbed.Console.log_line console ~host:"h" (string_of_int i)
+  done;
+  checkw "Console.log_line on a wrapped ring allocates nothing" 0.0
+    (words_of (fun () ->
+         Testbed.Console.log_line console ~host:"h" "line";
+         true));
+  (* One serve tick resolves its admitted reads one by one; the
+     offered load sits above [Dist.poisson]'s normal-approximation
+     threshold on both sides, so it draws the same numbers. *)
+  let serve_tick readers_per_s =
+    let env = Framework.Env.create ~seed:7L () in
+    let page = Framework.Statuspage.create env in
+    let alerts = Monitoring.Alerts.create env.Framework.Env.collector in
+    let config =
+      { Framework.Serve.default_config with
+        Framework.Serve.readers_per_s; flash_every = 0.0; rate_limit = 1e6; burst = 1e6 }
+    in
+    let serve = Framework.Serve.attach ~alerts ~config env page in
+    let tick () =
+      Framework.Env.run_until env (Framework.Env.now env +. config.Framework.Serve.tick_period)
+    in
+    tick ();
+    tick ();
+    let reads () = (Framework.Serve.summary serve).Framework.Serve.reads in
+    let before = reads () in
+    let words = minor_words tick in
+    (words, reads () - before)
+  in
+  let few_words, few = serve_tick 2.0 and many_words, many = serve_tick 20.0 in
+  checkb "ten times the reads" true (many > 5 * few && few > 0);
+  checkw "Serve tick: words independent of the admitted reads" few_words many_words
 
 (* ---- exact-host requests ------------------------------------------------------------ *)
 
@@ -854,6 +1019,8 @@ let () =
           Alcotest.test_case "short jobs end early" `Quick test_short_jobs_end_early ] );
       ( "scheduling",
         [ Alcotest.test_case "besteffort last" `Quick test_besteffort_scheduled_last;
+          Alcotest.test_case "besteffort re-placed at its start" `Quick
+            test_besteffort_replaced_at_same_start;
           Alcotest.test_case "all OAR down" `Quick test_submit_fails_when_all_oar_down;
           Alcotest.test_case "multi-group estimate" `Quick test_estimate_multi_group;
           Alcotest.test_case "exact hosts" `Quick test_exact_host_reservation;

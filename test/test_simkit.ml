@@ -1073,6 +1073,70 @@ let prop_json_diff_pruned =
          bool >|= fun swap -> if swap then (mutant, doc) else (doc, mutant)))
     (fun (a, b) -> Simkit.Json.diff a b = unpruned_diff a b)
 
+(* The number parser before it skipped [int_of_string_opt] for float
+   lexemes: an int when [int_of_string] takes the lexeme, else a float,
+   else an error. *)
+let seed_number text =
+  match int_of_string_opt text with
+  | Some i -> Some (Simkit.Json.Int i)
+  | None -> Option.map (fun f -> Simkit.Json.Float f) (float_of_string_opt text)
+
+(* Lexemes the parser's number scan can produce: runs of digits, signs,
+   dots and exponents, including int overflow, [-0], signed and bare
+   exponents, a leading [+] or [.], and a lone [-]. *)
+let gen_number_lexeme =
+  let open QCheck.Gen in
+  frequency
+    [ ( 3,
+        oneofl
+          [ "-0"; "0"; "1e5"; "1E5"; "+3"; ".5"; "-"; "+"; "."; "e5"; "1e"; "1.";
+            "2.6"; "10.0"; "-1.5e-3"; "9223372036854775807"; "9223372036854775808";
+            "-9223372036854775808"; "-9223372036854775809"; "123456789012345678901234";
+            "00012"; "1e999"; "--1"; "1-2"; "0.0e+0" ] );
+      (2, map string_of_int int);
+      (2, map (Printf.sprintf "%.17g") (float_range (-1e12) 1e12));
+      ( 3,
+        string_size (int_range 1 24)
+          ~gen:(oneofl [ '0'; '1'; '5'; '9'; '-'; '+'; '.'; 'e'; 'E' ]) ) ]
+
+let prop_json_numbers_match_seed_parser =
+  let doc_of lexemes shapes =
+    let open Simkit.Json in
+    let parts =
+      List.mapi
+        (fun i (lexeme, shape) ->
+          match shape mod 3 with
+          | 0 -> (lexeme, fun v -> v)
+          | 1 ->
+            let key = Printf.sprintf "k%d" i in
+            (Printf.sprintf "{%S: %s}" key lexeme, fun v -> Obj [ (key, v) ])
+          | _ -> (Printf.sprintf "[%s]" lexeme, fun v -> List [ v ]))
+        (List.combine lexemes shapes)
+    in
+    let text = "[" ^ String.concat ", " (List.map fst parts) ^ "]" in
+    let expected =
+      List.fold_right
+        (fun (lexeme, (_, wrap)) acc ->
+          match (seed_number lexeme, acc) with
+          | Some v, Some vs -> Some (wrap v :: vs)
+          | _ -> None)
+        (List.combine lexemes parts) (Some [])
+    in
+    (text, Option.map (fun vs -> List vs) expected)
+  in
+  let parsed text = Result.to_option (Simkit.Json.of_string text) in
+  QCheck.Test.make ~name:"json numbers parse as the seed parser did" ~count:1000
+    (QCheck.make
+       ~print:(fun (lexemes, _) -> String.concat " " lexemes)
+       QCheck.Gen.(
+         list_size (int_range 1 6) gen_number_lexeme >>= fun lexemes ->
+         list_repeat (List.length lexemes) (int_bound 2) >|= fun shapes -> (lexemes, shapes)))
+    (fun (lexemes, shapes) ->
+      List.for_all (fun lexeme -> parsed lexeme = seed_number lexeme) lexemes
+      &&
+      let text, expected = doc_of lexemes shapes in
+      parsed text = expected)
+
 (* ---- Table ------------------------------------------------------------------ *)
 
 let test_table_render () =
@@ -1187,7 +1251,8 @@ let () =
           Alcotest.test_case "diff nested/missing" `Quick test_json_diff_nested_and_missing;
           Alcotest.test_case "diff identical" `Quick test_json_diff_identical;
           qc prop_json_roundtrip;
-          qc prop_json_diff_pruned ] );
+          qc prop_json_diff_pruned;
+          qc prop_json_numbers_match_seed_parser ] );
       ( "table",
         [ Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "pads short rows" `Quick test_table_pads_short_rows;
