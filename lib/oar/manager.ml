@@ -18,17 +18,17 @@ type t = {
   instance : Testbed.Instance.t;
   props : Property.t;
   gantt : Gantt.t;
-  jobs : (int, Job.t) Hashtbl.t;
   mutable next_id : int;
-  mutable queue : int list;  (* waiting job ids, submission order *)
+  mutable queue : Job.t list;
+      (* waiting jobs, submission order; a finished job is reachable only
+         from its caller, so live state stays bounded by the live jobs *)
   mutable listeners : (Job.t -> unit) list;
   besteffort_scheduled : (int, Job.t) Hashtbl.t;
-      (* best-effort jobs currently in [Scheduled]: the release scan in
-         [schedule_pass] walks this live set instead of every job ever
-         submitted *)
+      (* best-effort jobs currently in [Scheduled], which the release
+         scan in [schedule_pass] walks *)
   running : (int, Job.t) Hashtbl.t;
-      (* jobs currently in [Running], so consistency checks that run on
-         every test round stay O(live) as the job history grows *)
+      (* jobs currently in [Running], which consistency checks that run
+         on every test round walk *)
   mutable last_prune : float;  (* gantt pruning runs at most hourly *)
   filter_cache : handle array Filter_cache.t;
       (* parsed filter -> matching hosts (sorted); properties change
@@ -77,7 +77,6 @@ let create instance =
       instance;
       props = Property.create ();
       gantt = Gantt.create ();
-      jobs = Hashtbl.create 256;
       next_id = 1;
       queue = [];
       listeners = [];
@@ -92,12 +91,6 @@ let create instance =
   in
   refresh_properties t;
   t
-
-let job t id = Hashtbl.find_opt t.jobs id
-
-let jobs t =
-  Hashtbl.fold (fun _ j acc -> j :: acc) t.jobs []
-  |> List.sort (fun a b -> compare a.Job.id b.Job.id)
 
 let running_jobs t =
   Hashtbl.fold (fun _ j acc -> j :: acc) t.running []
@@ -389,9 +382,8 @@ and schedule_pass t =
   end;
   (* Best-effort reservations that have not started yet are fair game:
      release them so higher-priority jobs can take their slots (they are
-     re-placed at the end of this pass).  Only the live Scheduled set is
-     scanned — not every job ever submitted — in id (submission) order
-     for determinism. *)
+     re-placed at the end of this pass).  The live Scheduled set is
+     scanned in id (submission) order for determinism. *)
   if Hashtbl.length t.besteffort_scheduled > 0 then begin
     let candidates =
       Hashtbl.fold (fun _ j acc -> j :: acc) t.besteffort_scheduled []
@@ -408,32 +400,24 @@ and schedule_pass t =
           Gantt.release_job t.gantt ~job:j.Job.id;
           j.Job.assigned <- [];
           j.Job.state <- Job.Waiting;
-          if not (List.mem j.Job.id t.queue) then t.queue <- t.queue @ [ j.Job.id ]
+          if not (List.memq j t.queue) then t.queue <- t.queue @ [ j ]
         end)
       candidates
   end;
   (* Best-effort jobs go last; otherwise submission order. *)
-  let pending =
-    List.filter_map (job t) t.queue
-    |> List.filter (fun j -> j.Job.state = Job.Waiting)
-  in
+  let pending = List.filter (fun j -> j.Job.state = Job.Waiting) t.queue in
   let normal, besteffort =
     List.partition (fun j -> j.Job.jtype <> Job.Besteffort) pending
   in
-  let done_ids =
-    List.filter_map
-      (fun j ->
-        if try_place_job t j then Some j.Job.id
-        else begin
-          (* No feasible placement even in the future (e.g. more nodes
-             requested than the cluster can ever line up): reject rather
-             than retrying the search on every pass. *)
-          finish t j Job.Error;
-          Some j.Job.id
-        end)
-      (normal @ besteffort)
-  in
-  t.queue <- List.filter (fun id -> not (List.mem id done_ids)) t.queue
+  List.iter
+    (fun j ->
+      if not (try_place_job t j) then
+        (* No feasible placement even in the future (e.g. more nodes
+           requested than the cluster can ever line up): reject rather
+           than retrying the search on every pass. *)
+        finish t j Job.Error)
+    (normal @ besteffort);
+  t.queue <- List.filter (fun j -> not (List.memq j pending)) t.queue
 
 let submit t ?(user = "anon") ?(jtype = Job.Default) ?duration ?(immediate = false)
     request =
@@ -482,8 +466,7 @@ let submit t ?(user = "anon") ?(jtype = Job.Default) ?duration ?(immediate = fal
         }
       in
       t.next_id <- t.next_id + 1;
-      Hashtbl.replace t.jobs job.Job.id job;
-      t.queue <- t.queue @ [ job.Job.id ];
+      t.queue <- t.queue @ [ job ];
       schedule_pass t;
       Ok job
   end
@@ -512,7 +495,6 @@ let submit_at t ?(user = "anon") ?(jtype = Job.Default) ?duration ~start request
         }
       in
       t.next_id <- t.next_id + 1;
-      Hashtbl.replace t.jobs job.Job.id job;
       if jtype = Job.Besteffort then
         Hashtbl.replace t.besteffort_scheduled job.Job.id job;
       let stop = start +. request.Request.walltime in
@@ -527,7 +509,7 @@ let cancel t job =
   match job.Job.state with
   | Job.Waiting | Job.Scheduled | Job.Running ->
     finish t job Job.Cancelled;
-    t.queue <- List.filter (fun id -> id <> job.Job.id) t.queue;
+    t.queue <- List.filter (fun j -> j != job) t.queue;
     schedule_pass t
   | Job.Terminated | Job.Error | Job.Cancelled -> ()
 

@@ -75,10 +75,6 @@ val submit_at :
 
 val cancel : t -> Job.t -> unit
 
-val job : t -> int -> Job.t option
-val jobs : t -> Job.t list
-(** All jobs ever submitted, in id order. *)
-
 val running_jobs : t -> Job.t list
 
 val matching_hosts : t -> Expr.t -> string list

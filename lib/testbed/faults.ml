@@ -301,7 +301,7 @@ let effect_on_host t kind node =
       Some (Printf.sprintf "%s: one DIMM lost after maintenance" host)
     end
   | Random_reboots ->
-    node.Node.behaviour.Node.random_reboot_mtbf <- Some (12.0 *. 3600.0);
+    Node.set_random_reboot_mtbf node (Some (12.0 *. 3600.0));
     Some (Printf.sprintf "%s: node randomly reboots" host)
   | Console_broken ->
     node.Node.behaviour.Node.console_broken <- true;
@@ -538,7 +538,7 @@ let revert t fault =
   | Random_reboots, Host host -> (
     match node_of ctx host with
     | Some node ->
-      node.Node.behaviour.Node.random_reboot_mtbf <- None;
+      Node.set_random_reboot_mtbf node None;
       if node.Node.state = Node.Down then node.Node.state <- Node.Alive
     | None -> ())
   | Console_broken, Host host -> (

@@ -9,6 +9,7 @@ type t = {
   console : Console.t;
   by_cluster : (string, Node.t list) Hashtbl.t;
   by_site : (string, Node.t list) Hashtbl.t;
+  reboot_set : Node.reboot_set;
 }
 
 let now t = Simkit.Engine.now t.engine
@@ -34,13 +35,15 @@ let reboot t node ~on_done =
 
 (* Spontaneous reboots for nodes carrying the random-reboot fault.  One
    periodic sweep (every 10 min) samples per-node hazards, which keeps
-   the event count independent of the fleet size. *)
+   the event count independent of the fleet size.  It visits only the
+   nodes of the reboot set, in node-array order: the others cannot
+   reboot, and draw nothing. *)
 let start_reboot_process t =
   let period = 600.0 in
-  Simkit.Engine.every t.engine ~period (fun engine ->
-      Array.iter
+  Simkit.Engine.every t.engine ~period (fun _ ->
+      List.iter
         (fun node ->
-          match node.Node.behaviour.Node.random_reboot_mtbf with
+          match Node.random_reboot_mtbf node with
           | Some mtbf when node.Node.state = Node.Alive ->
             let p = 1.0 -. exp (-.period /. mtbf) in
             if Simkit.Prng.chance node.Node.rng p then begin
@@ -48,14 +51,14 @@ let start_reboot_process t =
               reboot t node ~on_done:(fun ~ok:_ -> ())
             end
           | _ -> ())
-        t.nodes;
-      ignore engine;
+        (Node.reboot_prone t.reboot_set);
       true)
 
 let build ?(seed = 42L) () =
   let engine = Simkit.Engine.create ~seed () in
   let master = Simkit.Engine.rng engine in
   let node_stream = Simkit.Prng.split master in
+  let reboot_set = Node.create_reboot_set () in
   let nodes =
     Inventory.clusters
     |> List.concat_map (fun spec ->
@@ -63,7 +66,7 @@ let build ?(seed = 42L) () =
            List.init spec.Inventory.nodes (fun i ->
                Node.make
                  ~rng:(Simkit.Prng.split node_stream)
-                 ~site:spec.Inventory.site ~cluster:spec.Inventory.cluster
+                 ~reboot_set ~site:spec.Inventory.site ~cluster:spec.Inventory.cluster
                  ~index:(i + 1) hw))
     |> Array.of_list
   in
@@ -94,7 +97,8 @@ let build ?(seed = 42L) () =
     prepend by_site n.Node.site_name n
   done;
   let t =
-    { engine; nodes; by_host; network; services; refapi; faults; console; by_cluster; by_site }
+    { engine; nodes; by_host; network; services; refapi; faults; console; by_cluster; by_site;
+      reboot_set }
   in
   start_reboot_process t;
   t

@@ -15,6 +15,9 @@ type t = {
   by_site : (string, Node.t list) Hashtbl.t;
       (** Built once by {!build}; read them through {!nodes_of_cluster}
           and {!nodes_of_site}. *)
+  reboot_set : Node.reboot_set;
+      (** Shared by {!field-nodes}, made in array order: the nodes the
+          spontaneous-reboot sweep visits. *)
 }
 
 val build : ?seed:int64 -> unit -> t

@@ -9,7 +9,6 @@ type health =
   | Retired
 
 type behaviour = {
-  mutable random_reboot_mtbf : float option;
   mutable boot_race : bool;
   mutable ofed_flaky : bool;
   mutable console_broken : bool;
@@ -31,9 +30,35 @@ type t = {
   rng : Simkit.Prng.t;
   mutable boot_count : int;
   mutable unexpected_reboots : int;
+  reboot : reboot;
 }
 
-let make ~rng ~site ~cluster ~index hw =
+and reboot = { mutable mtbf : float option; ordinal : int; set : reboot_set }
+
+(* [prone] is in ascending ordinal order. *)
+and reboot_set = { mutable made : int; mutable prone : t list }
+
+let create_reboot_set () = { made = 0; prone = [] }
+let reboot_prone set = set.prone
+let random_reboot_mtbf t = t.reboot.mtbf
+
+let set_random_reboot_mtbf t mtbf =
+  let r = t.reboot in
+  let set = r.set in
+  (match (r.mtbf, mtbf) with
+   | None, Some _ ->
+     let rec insert = function
+       | n :: rest when n.reboot.ordinal < r.ordinal -> n :: insert rest
+       | later -> t :: later
+     in
+     set.prone <- insert set.prone
+   | Some _, None -> set.prone <- List.filter (fun n -> n != t) set.prone
+   | None, None | Some _, Some _ -> ());
+  r.mtbf <- mtbf
+
+let make ~rng ~reboot_set ~site ~cluster ~index hw =
+  let ordinal = reboot_set.made in
+  reboot_set.made <- ordinal + 1;
   let name = Printf.sprintf "%s-%d" cluster index in
   {
     name;
@@ -47,12 +72,11 @@ let make ~rng ~site ~cluster ~index hw =
     health = Healthy;
     deployed_env = "std";
     vlan = 0;
-    behaviour =
-      { random_reboot_mtbf = None; boot_race = false; ofed_flaky = false;
-        console_broken = false };
+    behaviour = { boot_race = false; ofed_flaky = false; console_broken = false };
     rng;
     boot_count = 0;
     unexpected_reboots = 0;
+    reboot = { mtbf = None; ordinal; set = reboot_set };
   }
 
 let state_to_string = function
@@ -79,7 +103,7 @@ let boot_duration t =
   else base
 
 let boot_fails t =
-  let p = if t.behaviour.random_reboot_mtbf <> None then 0.05 else 0.004 in
+  let p = if t.reboot.mtbf <> None then 0.05 else 0.004 in
   Simkit.Prng.chance t.rng p
 
 let cpu_benchmark t =
@@ -103,7 +127,7 @@ let ib_start_ok t =
 
 let reset_to_reference t =
   t.actual <- t.reference;
-  t.behaviour.random_reboot_mtbf <- None;
+  set_random_reboot_mtbf t None;
   t.behaviour.boot_race <- false;
   t.behaviour.ofed_flaky <- false;
   t.behaviour.console_broken <- false;

@@ -23,8 +23,6 @@ type health =
   | Retired  (** gave up after repeated repair failures; terminal *)
 
 type behaviour = {
-  mutable random_reboot_mtbf : float option;
-      (** spontaneous reboots with this exponential MTBF (seconds) *)
   mutable boot_race : bool;  (** kernel race ⇒ occasional long boot delays *)
   mutable ofed_flaky : bool;  (** IB stack randomly fails to start apps *)
   mutable console_broken : bool;  (** serial console service unusable *)
@@ -46,17 +44,43 @@ type t = {
   rng : Simkit.Prng.t;  (** per-node noise stream *)
   mutable boot_count : int;
   mutable unexpected_reboots : int;
+  reboot : reboot;
 }
+
+and reboot
+(** The node's random-reboot MTBF ({!random_reboot_mtbf}) and its place
+    in its {!reboot_set}. *)
+
+and reboot_set
+(** The nodes of one fleet that have a random-reboot MTBF, so that the
+    spontaneous-reboot sweep visits those nodes only. *)
+
+val create_reboot_set : unit -> reboot_set
 
 val make :
   rng:Simkit.Prng.t ->
+  reboot_set:reboot_set ->
   site:string ->
   cluster:string ->
   index:int ->
   Hardware.t ->
   t
 (** A healthy node whose actual hardware equals the reference and which
-    runs the standard environment ["std"] in the default VLAN. *)
+    runs the standard environment ["std"] in the default VLAN.  It
+    belongs to [reboot_set], in which nodes are ordered as they were
+    made. *)
+
+val random_reboot_mtbf : t -> float option
+(** Spontaneous reboots with this exponential MTBF (seconds); [None] at
+    {!make}. *)
+
+val set_random_reboot_mtbf : t -> float option -> unit
+(** The one writer of {!random_reboot_mtbf}: the node joins or leaves
+    its {!reboot_set} with it. *)
+
+val reboot_prone : reboot_set -> t list
+(** The members whose {!random_reboot_mtbf} is set, in the order they
+    were made.  O(1): the list is kept by {!set_random_reboot_mtbf}. *)
 
 val state_to_string : state -> string
 val health_to_string : health -> string

@@ -151,12 +151,14 @@ let prop_boot_banners_match_fresh =
        ~print:(fun ops -> String.concat "; " (List.map show_boot_op ops))
        QCheck.Gen.(list_size (int_range 1 120) gen_op))
     (fun ops ->
+      let reboot_set = Testbed.Node.create_reboot_set () in
       let nodes =
         Array.map
           (fun (cluster, index) ->
             let spec = Option.get (Testbed.Inventory.find_cluster cluster) in
-            Testbed.Node.make ~rng:(Simkit.Prng.create 7L) ~site:spec.Testbed.Inventory.site
-              ~cluster ~index (Testbed.Inventory.node_hardware spec))
+            Testbed.Node.make ~rng:(Simkit.Prng.create 7L) ~reboot_set
+              ~site:spec.Testbed.Inventory.site ~cluster ~index
+              (Testbed.Inventory.node_hardware spec))
           [| ("grisou", 5); ("graphene", 3) |]
       in
       let console = Testbed.Console.create () in

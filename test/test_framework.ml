@@ -290,14 +290,15 @@ let test_kwapi_catches_misattribution () =
   (* Discover which host the script actually probes, then swap that
      host's wattmeter channel with a node of very different wattage. *)
   let probed = ref None in
+  let ended = ref [] in
+  Oar.Manager.on_job_end env.Framework.Env.oar (fun j -> ended := j :: !ended);
   Ci.Server.on_build_complete env.Framework.Env.ci (fun _ -> ());
   let first = run_script env (config_exn Framework.Testdef.Kwapi ~id:"kwapi:lyon") in
   checkb "healthy run passes" true (first.Framework.Scripts.result = Ci.Build.Success);
-  (* The reservation log names the host. *)
+  (* The reservation, released when the script ends, names the host. *)
   ignore probed;
-  let jobs = Oar.Manager.jobs env.Framework.Env.oar in
   let chosen =
-    match List.rev jobs with
+    match !ended with
     | last :: _ -> List.hd last.Oar.Job.assigned
     | [] -> Alcotest.fail "no reservation recorded"
   in

@@ -692,8 +692,8 @@ let show_handle_op = function
 
 (* String-keyed recount: each property row tested against the filter,
    each host's node looked up by name, and its reservations rebuilt from
-   the live jobs. *)
-let recount_free instance oar filter =
+   the live ones among [jobs]. *)
+let recount_free instance oar jobs filter =
   let props = Oar.Manager.properties oar in
   let now = Simkit.Engine.now instance.Testbed.Instance.engine in
   let reserved host =
@@ -703,7 +703,7 @@ let recount_free instance oar filter =
         && List.mem host j.Oar.Job.assigned
         && j.Oar.Job.scheduled_start < now +. 1.0
         && now < j.Oar.Job.scheduled_start +. j.Oar.Job.request.Oar.Request.walltime)
-      (Oar.Manager.jobs oar)
+      jobs
   in
   List.filter
     (fun host ->
@@ -738,12 +738,13 @@ let prop_handles_match_recount =
     (fun ops ->
       let instance, oar = mk () in
       let ctx = Testbed.Faults.context instance.Testbed.Instance.faults in
+      let submitted = ref [] in
       let host i = List.nth refresh_hosts i in
       let node i = Testbed.Instance.node instance (host i) in
       let agree () =
         Array.for_all
           (fun filter ->
-            let expected = recount_free instance oar filter in
+            let expected = recount_free instance oar !submitted filter in
             let n = List.length expected in
             Oar.Manager.free_matching_now oar filter = expected
             && List.for_all
@@ -768,11 +769,14 @@ let prop_handles_match_recount =
               | Resync i ->
                 Hashtbl.remove ctx.Testbed.Faults.flags ("oar_desync:" ^ host i);
                 Oar.Manager.refresh_properties oar
-              | Occupy (f, n) ->
-                ignore
-                  (Oar.Manager.submit oar
-                     { Oar.Request.groups = [ { Oar.Request.filter = filters.(f); count = `N n } ];
-                       walltime = 3600.0 })
+              | Occupy (f, n) -> (
+                match
+                  Oar.Manager.submit oar
+                    { Oar.Request.groups = [ { Oar.Request.filter = filters.(f); count = `N n } ];
+                      walltime = 3600.0 }
+                with
+                | Ok j -> submitted := j :: !submitted
+                | Error _ -> ())
               | Advance m ->
                 let engine = instance.Testbed.Instance.engine in
                 Simkit.Engine.run_until engine (Simkit.Engine.now engine +. (60.0 *. float_of_int m)));
@@ -977,12 +981,17 @@ let test_exact_host_reservation () =
 
 let test_workload_respects_diurnal_profile () =
   let instance, oar = mk () in
+  let jobs = ref [] in
+  Oar.Manager.on_job_end oar (fun j -> jobs := j :: !jobs);
   let rng = Simkit.Prng.create 4321L in
   let w = Oar.Workload.start ~rng oar in
-  (* Run over exactly one week and compare peak vs night submissions. *)
+  (* Submit over exactly one week, then let every job end, and compare
+     peak vs night submissions. *)
   Simkit.Engine.run_until instance.Testbed.Instance.engine Simkit.Calendar.week;
   Oar.Workload.stop w;
-  let jobs = Oar.Manager.jobs oar in
+  Simkit.Engine.run_until instance.Testbed.Instance.engine (3.0 *. Simkit.Calendar.week);
+  let jobs = !jobs in
+  checki "every submitted job ended" (Oar.Workload.submitted w) (List.length jobs);
   let user_jobs =
     List.filter (fun j -> j.Oar.Job.user <> "g5k-tests") jobs
   in

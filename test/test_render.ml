@@ -1,5 +1,4 @@
-(* Tests for the user-facing renderers: HTML status page, oarstat and
-   oarnodes output. *)
+(* Tests for the user-facing HTML status page renderer. *)
 
 let checkb = Alcotest.(check bool)
 
@@ -73,53 +72,6 @@ let test_html_document_structure () =
   checkb "confidence section" true (contains html "Cluster confidence");
   checkb "history section" true (contains html "History")
 
-(* ---- oarstat / oarnodes --------------------------------------------------------- *)
-
-let test_oarstat_lists_jobs () =
-  let instance = Testbed.Instance.build ~seed:8002L () in
-  let oar = Oar.Manager.create instance in
-  (match
-     Oar.Manager.submit oar ~user:"alice" ~duration:3600.0
-       (Oar.Request.nodes ~filter:"cluster='nyx'" (`N 2) ~walltime:3600.0)
-   with
-   | Ok _ -> ()
-   | Error _ -> Alcotest.fail "submit failed");
-  let out = Oar.Oarstat.oarstat oar in
-  checkb "user shown" true (contains out "alice");
-  checkb "running state shown" true (contains out "Running")
-
-let test_oarstat_job_details () =
-  let instance = Testbed.Instance.build ~seed:8003L () in
-  let oar = Oar.Manager.create instance in
-  let job =
-    match
-      Oar.Manager.submit oar ~user:"bob" ~jtype:Oar.Job.Deploy ~duration:600.0
-        (Oar.Request.nodes ~filter:"cluster='graphite'" (`N 1) ~walltime:3600.0)
-    with
-    | Ok job -> job
-    | Error _ -> Alcotest.fail "submit failed"
-  in
-  (match Oar.Oarstat.oarstat_job oar job.Oar.Job.id with
-   | Some details ->
-     checkb "owner" true (contains details "bob");
-     checkb "type" true (contains details "deploy");
-     checkb "assigned host" true (contains details "graphite-");
-     checkb "request echoed" true (contains details "cluster='graphite'")
-   | None -> Alcotest.fail "job details missing");
-  checkb "unknown id" true (Oar.Oarstat.oarstat_job oar 9999 = None)
-
-let test_oarnodes_table () =
-  let instance = Testbed.Instance.build ~seed:8004L () in
-  let oar = Oar.Manager.create instance in
-  (Testbed.Instance.node instance "graphite-2.nancy").Testbed.Node.state <-
-    Testbed.Node.Down;
-  let out = Oar.Oarstat.oarnodes oar ~cluster:"graphite" in
-  checkb "all four nodes" true
-    (List.for_all (fun i -> contains out (Printf.sprintf "graphite-%d.nancy" i))
-       [ 1; 2; 3; 4 ]);
-  checkb "down state visible" true (contains out "down");
-  checkb "cores column populated" true (contains out "16")
-
 let () =
   Alcotest.run "render"
     [
@@ -128,8 +80,4 @@ let () =
           Qc.to_alcotest prop_html_escape_no_unescaped_markup;
           Alcotest.test_case "cell classes" `Quick test_cell_classes;
           Alcotest.test_case "document structure" `Quick test_html_document_structure ] );
-      ( "oarstat",
-        [ Alcotest.test_case "job table" `Quick test_oarstat_lists_jobs;
-          Alcotest.test_case "job details" `Quick test_oarstat_job_details;
-          Alcotest.test_case "oarnodes" `Quick test_oarnodes_table ] );
     ]

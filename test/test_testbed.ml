@@ -197,7 +197,7 @@ let test_node_cpu_benchmark_sensitive_to_drift () =
 let test_random_reboot_process () =
   let t = build () in
   let node = Testbed.Instance.node t "helios-1.sophia" in
-  node.Testbed.Node.behaviour.Testbed.Node.random_reboot_mtbf <- Some 3600.0;
+  Testbed.Node.set_random_reboot_mtbf node (Some 3600.0);
   Simkit.Engine.run_until t.Testbed.Instance.engine (48.0 *. 3600.0);
   checkb "spontaneous reboots observed" true (node.Testbed.Node.unexpected_reboots > 0)
 
@@ -471,6 +471,74 @@ let prop_random_injection_recorded =
       Testbed.Faults.active faults = []
       && List.length (Testbed.Faults.history faults) = List.length injected)
 
+(* The reboot set that the spontaneous-reboot sweep visits, against a
+   full scan of the node array, over random injections and repairs of
+   the random-reboot fault, operator resets and sweeps. *)
+type reboot_op =
+  | Inject_on of int  (* node of the pool *)
+  | Inject_random
+  | Repair of int  (* fault, by position among those injected *)
+  | Reset of int
+  | Sweep of int  (* minutes *)
+
+let show_reboot_op = function
+  | Inject_on i -> Printf.sprintf "inject on %d" i
+  | Inject_random -> "inject random"
+  | Repair k -> Printf.sprintf "repair %d" k
+  | Reset i -> Printf.sprintf "reset %d" i
+  | Sweep m -> Printf.sprintf "sweep %dmin" m
+
+let prop_reboot_set_matches_scan =
+  let gen_op =
+    let open QCheck.Gen in
+    let pooled = int_bound 5 in
+    frequency
+      [ (4, map (fun i -> Inject_on i) pooled); (2, return Inject_random);
+        (3, map (fun k -> Repair k) (int_bound 20)); (2, map (fun i -> Reset i) pooled);
+        (1, map (fun m -> Sweep m) (int_range 10 600)) ]
+  in
+  QCheck.Test.make ~name:"reboot set = scan of the node array" ~count:25
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_reboot_op ops))
+       QCheck.Gen.(list_size (int_range 1 30) gen_op))
+    (fun ops ->
+      let t = build () in
+      let faults = t.Testbed.Instance.faults in
+      let nodes = t.Testbed.Instance.nodes in
+      let n = Array.length nodes in
+      (* Neighbours and far ends of the array, so insertions land before,
+         between and after the members. *)
+      let pool = [| 0; 1; n / 4; n / 2; (n / 2) + 1; n - 1 |] in
+      let injected = ref [] in
+      let record = Option.iter (fun f -> injected := !injected @ [ f ]) in
+      let now () = Simkit.Engine.now t.Testbed.Instance.engine in
+      let agree () =
+        let scanned =
+          List.filter
+            (fun node -> Testbed.Node.random_reboot_mtbf node <> None)
+            (Array.to_list nodes)
+        in
+        List.equal ( == ) (Testbed.Node.reboot_prone t.Testbed.Instance.reboot_set) scanned
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Inject_on i ->
+             record
+               (Testbed.Faults.inject_on faults ~now:(now ()) Testbed.Faults.Random_reboots
+                  (Testbed.Faults.Host nodes.(pool.(i)).Testbed.Node.host))
+           | Inject_random ->
+             record (Testbed.Faults.inject faults ~now:(now ()) Testbed.Faults.Random_reboots)
+           | Repair k -> (
+             match List.nth_opt !injected k with
+             | Some f -> Testbed.Faults.repair faults ~now:(now ()) f
+             | None -> ())
+           | Reset i -> Testbed.Node.reset_to_reference nodes.(pool.(i))
+           | Sweep m ->
+             Simkit.Engine.run_until t.Testbed.Instance.engine (now () +. (60.0 *. float_of_int m)));
+          agree ())
+        ops)
+
 let () =
   let qc = Qc.to_alcotest in
   Alcotest.run "testbed"
@@ -496,7 +564,8 @@ let () =
           Alcotest.test_case "reboot cycle" `Quick test_node_reboot_cycle;
           Alcotest.test_case "cpu benchmark drift" `Quick
             test_node_cpu_benchmark_sensitive_to_drift;
-          Alcotest.test_case "random reboot process" `Quick test_random_reboot_process ] );
+          Alcotest.test_case "random reboot process" `Quick test_random_reboot_process;
+          qc prop_reboot_set_matches_scan ] );
       ( "network",
         [ Alcotest.test_case "initially consistent" `Quick
             test_network_cabling_initially_consistent;
